@@ -11,13 +11,17 @@ Column panels are split in half down to a small leaf width; pivoting
 inside a leaf is classical row elimination, while cross-panel updates are
 delayed and applied as matrix products.  For products, operands are split
 into 21-bit limbs so partial sums fit float64 exactly and can go through
-BLAS; mod 2**61 - 1 the limb recombination is a cheap bit rotation since
-2**61 == 1 (mod p).  The pivot choice (leftmost column, first nonzero
-row) is identical in every backend, so all paths produce the same pivot
-trace and the result is deterministic.
+BLAS.  Mod 2**61 - 1 the kernels use delayed reduction: the exact limb
+products of every k-chunk are summed in uint64 accumulators and reduced
+once, by bit rotations since 2**61 == 1 (mod p), and elementwise products
+use 32-bit halves with 2**64 == 8 (mod p).  The pivot choice (leftmost
+column, first nonzero row) is identical in every backend, so all paths
+produce the same pivot trace and the result is deterministic.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -152,53 +156,95 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# Limb splitting.  A residue x < 2**61 is written x = x0 + x1*2**21 + x2*2**42
-# with x0, x1 < 2**21 and x2 < 2**19.
+# Mersenne-61 arithmetic.  Since 2**61 == 1 (mod p), the bits of a uint64
+# above bit 61 fold back onto the low 61 bits, and multiplying by 2**s is a
+# rotation of the 61-bit window.  Kernels therefore sum exact products in
+# uint64 and reduce once at the end (delayed reduction).
 
-_L21 = np.uint64(0x1FFFFF)
 _M61 = np.uint64(MERSENNE61)
+_L32 = np.uint64(0xFFFFFFFF)
+
+# Dot products on 21-bit limbs: a residue x < 2**61 is x0 + x1*2**21 +
+# x2*2**42 with x0, x1 < 2**21 and x2 < 2**19, so Karatsuba sums of two limbs
+# are < 2**22, their products < 2**44, and 2**9 of those stay < 2**53, exact
+# in a float64 GEMM.  The six Karatsuba sums are accumulated in uint64 across
+# k-chunks; up to k = 2**17 every sum, and every recombined part, stays below
+# 2**61, the limit of the final rotations.
+_LIMB_PRODUCT_BITS = 44
+_ACC_K = 1 << (61 - _LIMB_PRODUCT_BITS)
 
 
-def _split3f(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """21-bit limbs of a uint64 array, as float64 (exact: limbs < 2**21)."""
-    return (
-        (x & _L21).astype(np.float64),
-        ((x >> np.uint64(21)) & _L21).astype(np.float64),
-        (x >> np.uint64(42)).astype(np.float64),
-    )
+def _fold61(v: np.ndarray, tmp: np.ndarray) -> None:
+    """In place v = (v >> 61) + (v & p), which is == v (mod p); tmp is scratch."""
+    np.right_shift(v, np.uint64(61), out=tmp)
+    v &= _M61
+    v += tmp
 
 
-def _split3u(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """21-bit limbs of a uint64 array, staying in uint64."""
-    return x & _L21, (x >> np.uint64(21)) & _L21, x >> np.uint64(42)
+def _mulmod61(a, b) -> np.ndarray:
+    """Elementwise a*b mod 2**61 - 1 for reduced uint64 operands (broadcasting).
 
-
-def _combine5_m61(parts) -> np.ndarray:
-    """Reduce sum(parts[s] * 2**(21 s)) mod 2**61 - 1.
-
-    Each part must be a nonnegative array (any dtype castable to uint64)
-    with values < 2**61.  Weights 2**63 and 2**84 reduce to 2**2 and 2**23
-    because 2**61 == 1 (mod p), so each term is a rotation of the 61-bit
-    window; the accumulated sum stays below 2**64.
+    With 32-bit halves a = a1*2**32 + a0 and b = b1*2**32 + b0 (a1, b1 < 2**29),
+    a*b = a1*b1*2**64 + m*2**32 + a0*b0 with m = a1*b0 + a0*b1 < 2**62.  Mod p,
+    2**64 == 8 and m*2**32 == (m >> 29) + ((m mod 2**29) << 32), so
+    8*a1*b1 + (m >> 29) + ((m mod 2**29) << 32) + fold(a0*b0) < 2**63 and two
+    folds and a conditional subtraction finish the reduction.
     """
-    acc = np.asarray(parts[0]).astype(np.uint64)
-    for part, (sh, co) in zip(parts[1:], ((21, 40), (42, 19), (2, 59), (23, 38))):
-        u = np.asarray(part).astype(np.uint64)
-        acc += ((u << np.uint64(sh)) & _M61) + (u >> np.uint64(co))
-    acc = (acc >> np.uint64(61)) + (acc & _M61)
-    acc = (acc >> np.uint64(61)) + (acc & _M61)
+    a0, a1 = a & _L32, a >> np.uint64(32)
+    b0, b1 = b & _L32, b >> np.uint64(32)
+    lo = a0 * b0
+    mid = a1 * b0
+    mid += a0 * b1
+    acc = a1 * b1
+    acc <<= np.uint64(3)
+    tmp = mid >> np.uint64(29)
+    acc += tmp
+    mid <<= np.uint64(32)
+    mid &= _M61
+    acc += mid
+    np.right_shift(lo, np.uint64(61), out=tmp)
+    lo &= _M61
+    acc += lo
+    acc += tmp
+    _fold61(acc, tmp)
     return _condsub(acc, MERSENNE61)
 
 
-def _limb_products(x0, x1, x2, y0, y1, y2):
-    """Five limb-convolution parts of (x0,x1,x2)*(y0,y1,y2), each < 3*2**42."""
-    return (
-        x0 * y0,
-        x0 * y1 + x1 * y0,
-        x0 * y2 + x1 * y1 + x2 * y0,
-        x1 * y2 + x2 * y1,
-        x2 * y2,
-    )
+def _rotate_add(s: np.ndarray, u: np.ndarray, shift: int, tmp: np.ndarray) -> None:
+    """s += u * 2**shift (mod p) as a 61-bit rotation; u < 2**61 is destroyed."""
+    np.left_shift(u, np.uint64(shift), out=tmp)
+    tmp &= _M61
+    s += tmp
+    u >>= np.uint64(61 - shift)
+    s += u
+
+
+def _recombine61(acc: np.ndarray) -> np.ndarray:
+    """Reduce the six Karatsuba sums acc = (p00, p11, p22, q01, q02, q12) of a
+    tile to x @ y mod p.
+
+    The limb parts are P0 = p00, P1 = q01 - p00 - p11, P2 = q02 - p00 - p22 + p11,
+    P3 = q12 - p11 - p22 and P4 = p22, with x @ y = sum(P_s * 2**(21 s)).  As
+    2**63 == 4 (mod p) that is G0 + G1 * 2**21 + G2 * 2**42 with G0 = P0 + 4 P3,
+    G1 = P1 + 4 P4 and G2 = P2, each below 2**61 by the accumulator bound, so
+    two rotations, a fold and a conditional subtraction finish.  The uint64
+    differences wrap, but each true value is nonnegative.  acc is overwritten;
+    the result is returned in the buffer of p00.
+    """
+    p00, p11, p22, q01, q02, q12 = acc
+    acc[3:5] -= p00  # q01, q02
+    acc[3:6:2] -= p11  # q01, q12: P1 done
+    acc[4:6] -= p22  # q02, q12: P3 done
+    q02 += p11  # G2
+    acc[2::3] <<= np.uint64(2)  # 4 P4, 4 P3
+    p00 += q12  # G0
+    q01 += p22  # G1
+    _rotate_add(p00, q01, 21, p11)
+    _rotate_add(p00, q02, 42, p11)
+    _fold61(p00, p11)  # p00 < 2**63 before, <= p + 3 after
+    np.subtract(p00, _M61, out=p11)
+    np.minimum(p00, p11, out=p00)
+    return p00
 
 
 def mulmod_vec(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -206,9 +252,7 @@ def mulmod_vec(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     if p == MERSENNE61:
-        x0, x1, x2 = _split3u(a)
-        y0, y1, y2 = _split3u(b)
-        return _combine5_m61(_limb_products(x0, x1, x2, y0, y1, y2))
+        return _mulmod61(a, b)
     if p < 1 << 31:
         return (a.astype(np.int64) * b.astype(np.int64) % p).astype(np.uint64)
     return ((a.astype(object) * b.astype(object)) % p).astype(np.uint64)
@@ -220,6 +264,8 @@ def mulmod_vec(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 _LEAF_W = 8
 _TRSM_LEAF = 64
 _STRIPE = 1024
+_TILE = 1 << 19  # elements per row tile of a product stripe
+_KEEP_MIN = 1 << 17  # elements from which a kernel keeps a work buffer between calls
 
 
 def _condsub(v: np.ndarray, p: int) -> np.ndarray:
@@ -239,54 +285,123 @@ def _sub_block(a, rlo, rhi, clo, chi, prod, p):
 
 
 class _M61Kernel:
-    """Update kernels for p = 2**61 - 1 via exact float64 BLAS on limbs."""
+    """Update kernels for p = 2**61 - 1 via exact float64 BLAS on limbs.
+
+    One kernel serves one elimination.  It keeps its work buffers between
+    calls, because faulting in fresh pages for every temporary costs more
+    than the arithmetic done in them.
+    """
 
     p = MERSENNE61
     chunk_k = 512  # sums of 512 products of 22-bit limb sums stay < 2**53
 
+    def __init__(self):
+        self._scratch: dict[str, np.ndarray] = {}
+
+    def _buf(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised array of this shape, reusing the buffer kept under
+        name.  Small arrays are allocated afresh: the allocator serves them
+        from memory it already has, and keeping them would only add to the
+        peak footprint of small eliminations."""
+        size = math.prod(shape)
+        if size < _KEEP_MIN:
+            return np.empty(shape, dtype=dtype)
+        buf = self._scratch.get(name)
+        if buf is None or buf.size < size:
+            buf = self._scratch[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+    def _limbs(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the 21-bit limbs x0, x1, x2 of x into out[0:3] as float64."""
+        limb = self._buf("limb", x.shape, np.int64)
+        xi = x.view(np.int64)  # residues < 2**61 read the same as int64
+        for i, shift in enumerate((0, 21, 42)):
+            np.right_shift(xi, shift, out=limb)
+            limb &= 0x1FFFFF
+            np.copyto(out[i], limb, casting="unsafe")
+
+    def _tiles(self, x, y):
+        """Yield (r0, r1, w0, w1, s, tmp): s = (x @ y)[r0:r1, w0:w1] mod p,
+        and tmp a scratch array of the same shape.
+
+        Each stripe of _STRIPE output columns keeps six uint64 accumulators,
+        one per Karatsuba GEMM, and adds the exact float64 product of every
+        k-chunk into them; the limb parts are then formed and recombined once.
+        Rows go in tiles of about _TILE elements so elementwise passes run in
+        cache.  Limbs and their sums are below 2**22, so float64 holds them
+        and their sums and differences exactly.
+        """
+        if self.chunk_k << _LIMB_PRODUCT_BITS > 1 << 53:
+            raise ValueError(f"chunk_k {self.chunk_k} breaks float64 exactness of limb products")
+        m, k = x.shape
+        if k > _ACC_K:
+            raise ValueError(f"inner dimension {k} exceeds the accumulator bound {_ACC_K}")
+        n = y.shape[1]
+        for w0 in range(0, n, _STRIPE):
+            w1 = min(w0 + _STRIPE, n)
+            rows = max(1, _TILE // max(w1 - w0, self.chunk_k))  # bounds x tiles too
+            acc = self._buf("acc", (6, m, w1 - w0), np.uint64)
+            acc_i64 = acc.view(np.int64)  # float64 -> int64 converts faster than -> uint64
+            for k0 in range(0, k, self.chunk_k):
+                k1 = min(k0 + self.chunk_k, k)
+                # y0, y1, y2 and the Karatsuba sums y0+y1, y0+y2, y1+y2
+                ys = self._buf("y", (6, k1 - k0, w1 - w0), np.float64)
+                self._limbs(y[k0:k1, w0:w1], ys)
+                np.add(ys[0:2], ys[1:3], out=ys[3:6:2])
+                np.add(ys[0], ys[2], out=ys[4])
+                for r0 in range(0, m, rows):
+                    r1 = min(r0 + rows, m)
+                    xs = self._buf("x", (3, r1 - r0, k1 - k0), np.float64)
+                    self._limbs(x[r0:r1, k0:k1], xs)
+                    prods = self._buf("prods", (3, r1 - r0, w1 - w0), np.float64)
+                    for half in (0, 3):
+                        if half:  # x0, x1, x2 -> x0+x1, x0+x2, x1+x2 in place:
+                            xs[0] += xs[1]  # x0 + x1
+                            xs[2] += xs[1]  # x1 + x2
+                            xs[1] *= -2.0
+                            xs[1] += xs[0]
+                            xs[1] += xs[2]  # (x0 + x1) + (x1 + x2) - 2 x1
+                        np.matmul(xs, ys[half : half + 3], out=prods)
+                        part = acc_i64[half : half + 3, r0:r1]
+                        if k0:
+                            np.add(part, prods, out=part, dtype=np.int64, casting="unsafe")
+                        else:
+                            np.copyto(part, prods, casting="unsafe")
+            for r0 in range(0, m, rows):
+                r1 = min(r0 + rows, m)
+                tile = acc[:, r0:r1]
+                yield r0, r1, w0, w1, _recombine61(tile), tile[1]  # tile[1] is spent
+
     def matmul_mod(self, x, y):
-        """Exact (x @ y) mod p; the inner dimension must be <= chunk_k."""
-        k = x.shape[1]
-        if k > self.chunk_k:
-            raise ValueError(f"inner dimension {k} exceeds exactness bound {self.chunk_k}")
+        """Exact (x @ y) mod p, for inner dimensions up to _ACC_K."""
         out = np.empty((x.shape[0], y.shape[1]), dtype=np.uint64)
-        x0, x1, x2 = _split3f(x)
-        xs01, xs02, xs12 = x0 + x1, x0 + x2, x1 + x2
-        for w0 in range(0, y.shape[1], _STRIPE):
-            w1 = min(w0 + _STRIPE, y.shape[1])
-            u0, u1, u2 = _split3f(y[:, w0:w1])
-            p00 = x0 @ u0
-            p11 = x1 @ u1
-            p22 = x2 @ u2
-            # Karatsuba cross terms; differences of exact integers
-            # below 2**53 are themselves exact in float64.
-            t1 = xs01 @ (u0 + u1) - p00 - p11
-            t2 = xs02 @ (u0 + u2) - p00 - p22 + p11
-            t3 = xs12 @ (u1 + u2) - p11 - p22
-            out[:, w0:w1] = _combine5_m61((p00, t1, t2, t3, p22))
+        for r0, r1, w0, w1, s, _ in self._tiles(x, y):
+            out[r0:r1, w0:w1] = s
         return out
 
     def gemm_sub(self, a, rlo, rhi, pr0, pivcols, clo, chi):
+        """a[rlo:rhi, clo:chi] -= a[rlo:rhi, pivcols] @ a[pr0:pr0+k, clo:chi], in place."""
         cols = np.asarray(pivcols, dtype=np.intp)
-        for k0 in range(0, cols.size, self.chunk_k):
-            kc = cols[k0 : k0 + self.chunk_k]
-            prod = self.matmul_mod(a[rlo:rhi, kc], a[pr0 + k0 : pr0 + k0 + kc.size, clo:chi])
-            _sub_block(a, rlo, rhi, clo, chi, prod, self.p)
+        x = self._buf("panel", (rhi - rlo, cols.size), np.uint64)
+        np.take(a[rlo:rhi], cols, axis=1, out=x)
+        y = a[pr0 : pr0 + cols.size, clo:chi]
+        block = a[rlo:rhi, clo:chi]
+        for r0, r1, w0, w1, s, tmp in self._tiles(x, y):
+            s ^= _M61  # p - s, for 0 <= s < p
+            v = block[r0:r1, w0:w1]
+            v += s
+            np.subtract(v, _M61, out=tmp)
+            np.minimum(v, tmp, out=v)
 
     def scale_col(self, a, r1, j, scalar):
-        x0, x1, x2 = _split3u(a[r1:, j])
-        c0, c1, c2 = (
-            np.uint64(scalar & 0x1FFFFF),
-            np.uint64((scalar >> 21) & 0x1FFFFF),
-            np.uint64(scalar >> 42),
-        )
-        a[r1:, j] = _combine5_m61(_limb_products(x0, x1, x2, c0, c1, c2))
+        a[r1:, j] = _mulmod61(a[r1:, j], np.uint64(scalar))
 
     def outer_sub(self, a, r1, clo, chi, f, u):
-        f0, f1, f2 = _split3u(f[:, None])
-        u0, u1, u2 = _split3u(u[None, :])
-        prod = _combine5_m61(_limb_products(f0, f1, f2, u0, u1, u2))
-        _sub_block(a, r1, a.shape[0], clo, chi, prod, self.p)
+        prod = _mulmod61(f[:, None], u[None, :])
+        prod ^= _M61
+        v = a[r1:, clo:chi]
+        v += prod
+        _condsub(v, self.p)
 
 
 class _SmallKernel:
@@ -325,24 +440,32 @@ class _SmallKernel:
 
 
 def _ple_leaf(a, kern, r0, c0, c1, pivs):
-    m = a.shape[0]
-    r = r0
-    for j in range(c0, c1):
+    """Classical elimination of columns [c0, c1) from row r0 down.
+
+    The columns are worked on in a contiguous copy, so the per-pivot column
+    updates stay in cache; row swaps also go to the full rows of a.
+    """
+    panel = a[r0:, c0:c1].copy()
+    m, w = panel.shape
+    r = 0
+    for j in range(w):
         if r == m:
-            return
-        nz = np.nonzero(a[r:, j])[0]
+            break
+        nz = np.nonzero(panel[r:, j])[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+            a[[r0 + r, r0 + pr]] = a[[r0 + pr, r0 + r]]
+            panel[[r, pr]] = panel[[pr, r]]
         if r + 1 < m:
-            inv = pow(int(a[r, j]), -1, kern.p)
-            kern.scale_col(a, r + 1, j, inv)
-            if j + 1 < c1:
-                kern.outer_sub(a, r + 1, j + 1, c1, a[r + 1 :, j], a[r, j + 1 : c1])
-        pivs.append(j)
+            inv = pow(int(panel[r, j]), -1, kern.p)
+            kern.scale_col(panel, r + 1, j, inv)
+            if j + 1 < w:
+                kern.outer_sub(panel, r + 1, j + 1, w, panel[r + 1 :, j], panel[r, j + 1 :])
+        pivs.append(c0 + j)
         r += 1
+    a[r0:, c0:c1] = panel
 
 
 def _trsm_leaf(a, kern, r0, left, clo, chi):

@@ -118,51 +118,89 @@ def monomial_exponents(n: int, d: int) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
     for total in range(d + 1):
         out.extend(descending(total, n))
-    assert len(out) == math.comb(d + n, n)
+    if len(out) != math.comb(d + n, n):
+        raise RuntimeError(f"enumerated {len(out)} monomials, expected C({d + n}, {n})")
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _exponent_columns(n: int, d: int) -> tuple[np.ndarray, ...]:
-    """Per-coordinate exponent arrays over the monomial column order."""
+def _exponent_array(n: int, d: int) -> np.ndarray:
+    """monomial_exponents(n, d) as a read-only array of shape (C(d+n, n), n)."""
     exps = np.array(monomial_exponents(n, d), dtype=np.intp).reshape(-1, n)
-    return tuple(np.ascontiguousarray(exps[:, j]) for j in range(n))
+    exps.flags.writeable = False
+    return exps
 
 
-def _derivative_table(x: int, max_order: int, d: int, p: int) -> np.ndarray:
-    """Table V[a, t] = (d/dx)^a applied to x^t, evaluated at x, mod p.
+# Points of equal multiplicity share a mulmod_vec call up to this many block
+# entries (128 kB per operand), which bounds the temporaries of the build.
+_BUILD_BATCH = 1 << 14
 
-    That is falling(t, a) * x^(t-a) for t >= a and 0 below; the falling
-    factorials are nonzero mod p because p > d.
+
+@lru_cache(maxsize=None)
+def _derivative_pattern(n: int, m: int, d: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The point-independent factors of an order-m condition block.
+
+    Row r is a derivative multi-index alpha_r of order < m (graded lex) and
+    column c a monomial exponent e_c of monomial_exponents(n, d).  At a point
+    x, d^alpha_r x^e_c = prod_j falling(e_jc, alpha_jr) * x^(e_c - alpha_r), so
+    the block is F * V[idx] for the point's monomial values V, with
+    F[r, c] = prod_j falling(e_jc, alpha_jr) mod p (zero unless alpha_r <= e_c)
+    and idx[r, c] the column of e_c - alpha_r (column 0 where F is zero).
     """
-    powers = [1] * (d + 1)
-    for t in range(1, d + 1):
-        powers[t] = powers[t - 1] * x % p
-    table = np.zeros((max_order + 1, d + 1), dtype=np.uint64)
-    for a in range(max_order + 1):
-        for t in range(a, d + 1):
-            table[a, t] = math.perm(t, a) % p * powers[t - a] % p
-    return table
-
-
-def _condition_block(pt: SamplePoint, m: int, n: int, d: int, p: int) -> np.ndarray:
-    """The C(m+n-1, n) x C(d+n, n) block of derivative conditions at pt.
-
-    Rows follow the graded-lex order of derivative multi-indices of
-    order < m; columns follow monomial_exponents(n, d).
-    """
-    alphas = np.array(monomial_exponents(n, m - 1), dtype=np.intp).reshape(-1, n)
-    cols = _exponent_columns(n, d)
-    tables = [_derivative_table(pt[j], m - 1, d, p) for j in range(n)]
-    block = tables[0][alphas[:, 0]][:, cols[0]]
+    alphas = _exponent_array(n, m - 1)
+    exps = _exponent_array(n, d)
+    # an exponent vector's code in base d + 1 is linear, so e_c - alpha_r has
+    # code codes[c] - alpha_r's code wherever alpha_r <= e_c
+    radix = (d + 1) ** np.arange(n, dtype=np.intp)
+    codes = exps @ radix
+    below = np.ones((len(alphas), len(exps)), dtype=bool)
+    for j in range(n):
+        below &= alphas[:, j][:, None] <= exps[:, j]
+    shifted = np.where(below, codes - (alphas @ radix)[:, None], 0)
+    order = np.argsort(codes)
+    idx = order[np.searchsorted(codes, shifted, sorter=order)]
+    falling = np.array(
+        [[math.perm(t, a) % p for t in range(d + 1)] for a in range(m)], dtype=np.uint64
+    )
+    f = falling[alphas[:, 0][:, None], exps[:, 0]]
     for j in range(1, n):
-        block = mulmod_vec(block, tables[j][alphas[:, j]][:, cols[j]], p)
-    return block
+        f = mulmod_vec(f, falling[alphas[:, j][:, None], exps[:, j]], p)
+    f.flags.writeable = idx.flags.writeable = False
+    return f, idx
+
+
+def _monomial_values(pts: list[SamplePoint], n: int, d: int, p: int) -> np.ndarray:
+    """V[i, c] = pts[i] ** e_c mod p over monomial_exponents(n, d) (0**0 = 1)."""
+    powers = []
+    for pt in pts:
+        for x in pt:
+            row = [1] * (d + 1)
+            for t in range(1, d + 1):
+                row[t] = row[t - 1] * x % p
+            powers.append(row)
+    table = np.array(powers, dtype=np.uint64).reshape(len(pts), n, d + 1)
+    exps = _exponent_array(n, d)
+    values = table[:, 0, exps[:, 0]]
+    for j in range(1, n):
+        values = mulmod_vec(values, table[:, j, exps[:, j]], p)
+    return values
+
+
+def _condition_blocks(values: np.ndarray, m: int, n: int, d: int, p: int) -> np.ndarray:
+    """The C(m+n-1, n) x C(d+n, n) derivative-condition blocks of order m at
+    the points whose monomial values are the rows of `values`, stacked along
+    a leading axis.
+
+    Rows follow the graded-lex order of derivative multi-indices of order
+    < m; columns follow monomial_exponents(n, d).
+    """
+    f, idx = _derivative_pattern(n, m, d, p)
+    return mulmod_vec(f, values[:, idx], p)
 
 
 def condition_rows(pt: SamplePoint, m: int, n: int, d: int) -> list[list[int]]:
-    """Rows imposing vanishing to order m at pt on degree-d forms,
-    over the default prime field unless pt uses a smaller one implicitly.
+    """Rows imposing vanishing to order m at pt on degree-d forms, over the
+    default prime field; coordinates of pt are reduced mod DEFAULT_PRIME.
 
     Exposed in list form for inspection; the matrix pipeline uses the
     array-valued builder directly.
@@ -170,8 +208,8 @@ def condition_rows(pt: SamplePoint, m: int, n: int, d: int) -> list[list[int]]:
     if not 1 <= m <= d + 1:
         raise ValueError(f"need 1 <= m <= d+1, got m={m}, d={d}")
     p = DEFAULT_PRIME
-    block = _condition_block(tuple(c % p for c in pt), m, n, d, p)
-    return [[int(x) for x in row] for row in block]
+    values = _monomial_values([tuple(c % p for c in pt)], n, d, p)
+    return _condition_blocks(values, m, n, d, p)[0].tolist()
 
 
 def _draw_points(
@@ -205,13 +243,21 @@ def _draw_points(
 def _system_matrix(
     sys: FatPointSystem, pts: list[SamplePoint], field: PrimeField
 ) -> PrimeFieldMatrix:
+    """The stacked condition matrix: one block per point with multiplicity
+    >= 1, in point order.  Points of equal multiplicity are built together."""
     n, d, p = sys.ambient_dim, sys.degree, field.p
-    blocks = [
-        _condition_block(pts[i], m, n, d, p)
-        for i, m in enumerate(sys.mults)
-        if m >= 1
-    ]
-    return PrimeFieldMatrix.from_residues(field, np.vstack(blocks))
+    heights = [math.comb(m - 1 + n, n) if m >= 1 else 0 for m in sys.mults]
+    starts = np.cumsum([0] + heights)
+    out = np.empty((int(starts[-1]), math.comb(d + n, n)), dtype=np.uint64)
+    values = _monomial_values(pts, n, d, p)
+    for m in sorted({m for m in sys.mults if m >= 1}):
+        members = [i for i, mi in enumerate(sys.mults) if mi == m]
+        per_call = max(1, _BUILD_BATCH // (heights[members[0]] * out.shape[1]))
+        for g0 in range(0, len(members), per_call):
+            group = members[g0 : g0 + per_call]
+            rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in group])
+            out[rows] = _condition_blocks(values[group], m, n, d, p).reshape(rows.size, -1)
+    return PrimeFieldMatrix.from_residues(field, out)
 
 
 def effective_dim(
@@ -367,7 +413,8 @@ def on_quadric(
         pt = tuple((bb + t * dd) % p for bb, dd in zip(base, direction))
         if counter is not None:
             counter["attempts"] = attempt
-        assert _eval_quadric(q, pt, p) == 0
+        if _eval_quadric(q, pt, p) != 0:
+            raise ArithmeticError(f"sampled point {pt} is not on the quadric {tuple(q)}")
         return pt
     raise QuadricSampleError(max_attempts)
 

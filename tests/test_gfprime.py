@@ -6,13 +6,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fatpoints import gfprime
 from fatpoints.gfprime import (
     DEFAULT_PRIME,
     MERSENNE61,
     PrimeField,
     PrimeFieldMatrix,
     _elim_rows_object,
+    _M61Kernel,
     _rank_with_pivots,
     is_prime,
     mulmod_vec,
@@ -202,3 +206,188 @@ def test_from_residues_trusts_reduced_input():
 def test_default_prime_is_the_mersenne_prime():
     assert DEFAULT_PRIME == MERSENNE61 == 2**61 - 1
     assert is_prime(DEFAULT_PRIME)
+
+
+# ---------------------------------------------------------------------------
+# Mersenne-61 kernels against Python integers.
+
+P61 = MERSENNE61
+FILLS = ("random", "max", "edges")
+
+
+def _residues(rng, shape, fill):
+    """Reduced uint64 residues: uniform, all p - 1 (the largest limb sums,
+    the worst case for the accumulator bound), or a mix of edge values."""
+    if fill == "max":
+        return np.full(shape, P61 - 1, dtype=np.uint64)
+    out = rng.integers(0, P61, size=shape, dtype=np.uint64)
+    if fill == "edges":
+        edges = np.array([0, 1, 2**21 - 1, 2**32, 2**42, P61 - 2, P61 - 1], dtype=np.uint64)
+        mask = rng.random(shape) < 0.5
+        out[mask] = rng.choice(edges, size=int(mask.sum()))
+    return out
+
+
+def _int_matmul(x, y):
+    return (x.astype(object) @ y.astype(object)) % P61
+
+
+kernel_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    fill=st.sampled_from(FILLS),
+    m=st.integers(1, 3),
+    k=st.integers(1, 40),
+    n=st.integers(1, 40),
+)
+
+
+@kernel_cases
+@settings(max_examples=30, deadline=None)
+@example(seed=1, fill="max", m=2, k=1, n=3)
+@example(seed=2, fill="random", m=2, k=511, n=3)
+@example(seed=3, fill="max", m=2, k=512, n=3)
+@example(seed=4, fill="edges", m=2, k=513, n=3)
+@example(seed=5, fill="max", m=2, k=1025, n=2)
+@example(seed=6, fill="max", m=1, k=1537, n=2)  # three full chunks and a remainder
+@example(seed=7, fill="random", m=2, k=3, n=1023)
+@example(seed=8, fill="max", m=2, k=3, n=1024)
+@example(seed=9, fill="edges", m=2, k=3, n=1025)
+@example(seed=10, fill="max", m=3, k=600, n=1025)  # two chunks and two stripes at once
+def test_m61_matmul_mod_matches_integers(seed, fill, m, k, n):
+    rng = np.random.default_rng(seed)
+    x = _residues(rng, (m, k), fill)
+    y = _residues(rng, (k, n), fill)
+    got = _M61Kernel().matmul_mod(x, y)
+    assert got.dtype == np.uint64
+    assert (got.astype(object) == _int_matmul(x, y)).all()
+
+
+@kernel_cases
+@settings(max_examples=30, deadline=None)
+@example(seed=11, fill="max", m=2, k=513, n=5)
+@example(seed=12, fill="max", m=3, k=2, n=1025)
+@example(seed=13, fill="edges", m=1, k=1025, n=1024)
+def test_m61_gemm_sub_updates_a_view_in_place(seed, fill, m, k, n):
+    """a[rows, cols] -= a[rows, pivcols] @ a[pivot rows, cols] on a strided
+    view, touching nothing outside the updated block."""
+    rng = np.random.default_rng(seed)
+    big = _residues(rng, (k + m + 4, k + n + 6), fill)
+    view = big[2:-2, 3:-3]
+    before = big.copy()
+    pivcols = list(rng.permutation(k))
+    want = (view[k:, k:].astype(object) - _int_matmul(view[k:, pivcols], view[:k, k:])) % P61
+    _M61Kernel().gemm_sub(view, k, k + m, 0, pivcols, k, k + n)
+    assert (view[k:, k:].astype(object) == want).all()
+    changed = big != before
+    changed[2 + k : 2 + k + m, 3 + k : 3 + k + n] = False
+    assert not changed.any()
+
+
+@given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(FILLS), rows=st.integers(1, 300))
+@settings(max_examples=30, deadline=None)
+@example(seed=0, fill="max", rows=1)
+def test_m61_scale_col_and_outer_sub_match_integers(seed, fill, rows):
+    rng = np.random.default_rng(seed)
+    a = _residues(rng, (rows + 1, 9), fill)
+    scalar = int(_residues(rng, (1,), fill)[0])
+    ref = a.astype(object)
+    ref[1:, 2] = ref[1:, 2] * scalar % P61
+    kern = _M61Kernel()
+    kern.scale_col(a, 1, 2, scalar)
+    assert (a.astype(object) == ref).all()
+    f, u = a[1:, 2].copy(), a[0, 3:8].copy()
+    ref[1:, 3:8] = (ref[1:, 3:8] - np.outer(f.astype(object), u.astype(object))) % P61
+    kern.outer_sub(a, 1, 3, 8, f, u)
+    assert (a.astype(object) == ref).all()
+
+
+@given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(FILLS), size=st.integers(0, 2000))
+@settings(max_examples=30, deadline=None)
+def test_m61_mulmod_vec_matches_integers(seed, fill, size):
+    rng = np.random.default_rng(seed)
+    a = _residues(rng, (size,), fill)
+    b = _residues(rng, (size,), fill)
+    got = mulmod_vec(a, b, P61)
+    assert (got.astype(object) == a.astype(object) * b.astype(object) % P61).all()
+    cols = _residues(rng, (3, 1), fill)
+    got = mulmod_vec(cols, a[None, :7], P61)  # broadcasting
+    assert (got.astype(object) == cols.astype(object) * a[None, :7].astype(object) % P61).all()
+
+
+def test_m61_kernel_bounds_raise():
+    kern = _M61Kernel()
+    k = gfprime._ACC_K + 1
+    with pytest.raises(ValueError, match="accumulator bound"):
+        kern.matmul_mod(np.zeros((1, k), dtype=np.uint64), np.zeros((k, 1), dtype=np.uint64))
+    kern.chunk_k = 1024  # 1024 products of 22-bit limb sums can reach 2**54
+    with pytest.raises(ValueError, match="exactness"):
+        kern.matmul_mod(np.ones((1, 2), dtype=np.uint64), np.ones((2, 1), dtype=np.uint64))
+
+
+def test_m61_recombination_reduces_extreme_parts():
+    """G0 + G1*2**21 + G2*2**42 mod p for every combination of extreme parts
+    below 2**61, fed in as the six Karatsuba sums with P3 = P4 = 0."""
+    extremes = [0, 1, 2**21, 2**40, 2**60, P61 - 1, P61]
+    combos = [(g0, g1, g2) for g0 in extremes for g1 in extremes for g2 in extremes]
+    g0, g1, g2 = (np.array(c, dtype=np.uint64) for c in zip(*combos))
+    zero = np.zeros_like(g0)
+    acc = np.stack([g0, zero, zero, g1 + g0, g2 + g0, zero])[:, None, :]
+    got = gfprime._recombine61(acc)[0]
+    want = [(a + b * 2**21 + c * 2**42) % P61 for a, b, c in combos]
+    assert [int(v) for v in got] == want
+
+
+def test_pivot_trace_across_chunk_and_stripe_boundaries(monkeypatch):
+    """The blocked engine at M61 with tiny chunk, stripe, tile and trsm sizes,
+    so a small matrix crosses every boundary many times, against the
+    classical elimination on Python integers."""
+    monkeypatch.setattr(_M61Kernel, "chunk_k", 8)
+    monkeypatch.setattr(gfprime, "_STRIPE", 16)
+    monkeypatch.setattr(gfprime, "_TILE", 40)
+    monkeypatch.setattr(gfprime, "_TRSM_LEAF", 4)
+    rng = np.random.default_rng(23)
+    raw = rng.integers(0, P61, size=(90, 130), dtype=np.uint64)
+    raw[45] = raw[1]
+    raw[89] = (raw[2] + raw[5]) % np.uint64(P61)
+    raw[60:70] = raw[10:20]
+    raw[:, 43] = 0
+    rank, pivots = _rank_with_pivots(raw.copy(), P61)
+    assert pivots == _elim_rows_object(raw.astype(object), P61)
+    assert rank == len(pivots)
+
+
+def test_pivot_trace_of_a_planted_rank_profile_at_full_size():
+    """A 640 x 2100 matrix with a known column rank profile, large enough to
+    cross the real chunk_k (512) and _STRIPE (1024): the pivot trace must be
+    exactly the planted profile.
+
+    A = L @ E mod p, with E (600 x 2100) in row echelon form with pivots at
+    the planted columns and L (640 x 600) unit lower triangular on top and
+    small below (40 dependent rows).  L has full column rank, so the
+    column rank profile of A is that of E.
+    """
+    rng = np.random.default_rng(29)
+    m, n, r = 640, 2100, 600
+    # 530 pivots left of the first split at column 1050, so the update below
+    # it has an inner dimension past chunk_k and a width past _STRIPE
+    left = rng.choice(1050, size=530, replace=False)
+    right = 1050 + rng.choice(1050, size=70, replace=False)
+    profile = np.sort(np.concatenate([left, right]))
+    e = rng.integers(0, P61, size=(r, n), dtype=np.uint64)
+    e[np.arange(n)[None, :] < profile[:, None]] = 0
+    e[np.arange(r), profile] = 1
+    ell = rng.integers(0, 16, size=(m, r)).astype(np.float64)
+    ell[:r] = np.tril(ell[:r], -1) + np.eye(r)
+    # exact in float64: 21-bit limbs of E times entries < 16, summed 600 times, < 2**35
+    limbs = [(e >> np.uint64(s)) & np.uint64(2**21 - 1) for s in (0, 21, 42)]
+    parts = [(ell @ limb.astype(np.float64)).astype(np.uint64) for limb in limbs]
+    hi = parts[2]  # parts[2] * 2**42 == (hi >> 19) + (hi mod 2**19) * 2**42
+    a = (
+        parts[0]
+        + (parts[1] << np.uint64(21))
+        + (hi >> np.uint64(19))
+        + ((hi & np.uint64(2**19 - 1)) << np.uint64(42))
+    ) % np.uint64(P61)
+    rank, pivots = _rank_with_pivots(a, P61)
+    assert rank == r
+    assert pivots == [int(c) for c in profile]

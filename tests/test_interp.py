@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from fatpoints import interp
 from fatpoints.gfprime import DEFAULT_PRIME, PrimeField
 from fatpoints.interp import (
     DegenerateConfigurationError,
     OnQuadric,
     QuadricSampleError,
     _draw_points,
+    _system_matrix,
     condition_rows,
     effective_dim,
     fixed_component_test,
@@ -252,3 +254,61 @@ def test_h0_never_undershoots_the_virtual_bound():
         mults = tuple(int(x) for x in rng.integers(1, 4, size=r))
         rep = effective_dim(FatPointSystem(2, d, mults), trials=1, seed=int(rng.integers(2**32)))
         assert rep.h0 >= max(rep.vdim + 1, 0)
+
+
+def _reference_matrix(sys, pts, p):
+    """Condition rows from the derivative formula on Python integers: for each
+    point of multiplicity m >= 1 in order, and each derivative multi-index a
+    of order < m in graded-lex order, d^a x^e = prod_j falling(e_j, a_j) x_j^(e_j - a_j)."""
+    n, d = sys.ambient_dim, sys.degree
+    rows = []
+    for pt, m in zip(pts, sys.mults):
+        if m < 1:
+            continue
+        for a in monomial_exponents(n, m - 1):
+            row = []
+            for e in monomial_exponents(n, d):
+                v = 1
+                for x, ej, aj in zip(pt, e, a):
+                    v *= math.perm(ej, aj) * x ** (ej - aj) if ej >= aj else 0
+                row.append(v % p)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", [101, DEFAULT_PRIME])
+@pytest.mark.parametrize("batch", [1, 1 << 18])
+def test_system_matrix_matches_the_derivative_formula(p, batch, monkeypatch):
+    """Mixed multiplicities (0, 1, negative, repeated out of order), a zero
+    coordinate and the origin; batch 1 builds every point in its own call."""
+    monkeypatch.setattr(interp, "_BUILD_BATCH", batch)
+    sys = FatPointSystem(3, 4, (2, 0, 1, 3, -1, 2, 1, 5))
+    rng = np.random.default_rng(p % 1000)
+    pts = [tuple(int(c) for c in rng.integers(0, p, size=3)) for _ in sys.mults]
+    pts[2] = (0, pts[2][1], pts[2][2])
+    pts[5] = (0, 0, 0)
+    got = _system_matrix(sys, pts, PrimeField(p))
+    assert got.shape == (sys.condition_count(), sys.monomial_count())
+    assert got.entries.tolist() == _reference_matrix(sys, pts, p)
+
+
+def test_monomial_exponents_count_check_raises(monkeypatch):
+    monkeypatch.setattr(interp.math, "comb", lambda a, b: -1)
+    with pytest.raises(RuntimeError, match="monomials"):
+        monomial_exponents.__wrapped__(2, 3)
+
+
+def test_on_quadric_raises_when_the_point_misses_the_surface():
+    class WrongRoots(PrimeField):
+        __slots__ = ()
+
+        def sqrt(self, a):
+            root = super().sqrt(a)
+            return None if root is None else (root + 1) % self.p
+
+    field = WrongRoots(101)
+    rng = np.random.default_rng(5)
+    pts = [tuple(int(v) for v in rng.integers(0, 101, size=3)) for _ in range(9)]
+    q = quadric_through(pts, field)
+    with pytest.raises(ArithmeticError, match="not on the quadric"):
+        on_quadric(q, np.random.default_rng(7), field)
