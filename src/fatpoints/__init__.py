@@ -48,6 +48,7 @@ from .interp import (
     OnQuadric,
     QuadricSampleError,
     RankReport,
+    VirtualBoundError,
     condition_rows,
     effective_dim,
     fixed_component_test,
@@ -110,6 +111,7 @@ __all__ = [
     "OnQuadric",
     "DegenerateConfigurationError",
     "QuadricSampleError",
+    "VirtualBoundError",
     "monomial_exponents",
     "condition_rows",
     "effective_dim",

@@ -431,7 +431,8 @@ def hh_predict_special(
     for part, magnitude in strips:
         if magnitude < 2:
             continue
-        assert part.d % magnitude == 0 and all(x % magnitude == 0 for x in part.m)
+        if part.d % magnitude or any(x % magnitude for x in part.m):
+            raise ArithmeticError(f"stripped part {part} is not {magnitude} times a class")
         wm = tuple(x // magnitude for x in part.m)
         if len(wm) > dv.npoints and all(x == 0 for x in wm[dv.npoints :]):
             wm = wm[: dv.npoints]  # drop padding the reducer added

@@ -9,14 +9,15 @@ probability on the order of (degree)/p per trial.
 The rank engine is a recursive block elimination (PLE decomposition).
 Column panels are split in half down to a small leaf width; pivoting
 inside a leaf is classical row elimination, while cross-panel updates are
-delayed and applied as matrix products.  For products, operands are split
-into 21-bit limbs so partial sums fit float64 exactly and can go through
-BLAS.  Mod 2**61 - 1 the kernels use delayed reduction: the exact limb
-products of every k-chunk are summed in uint64 accumulators and reduced
-once, by bit rotations since 2**61 == 1 (mod p), and elementwise products
-use 32-bit halves with 2**64 == 8 (mod p).  The pivot choice (leftmost
-column, first nonzero row) is identical in every backend, so all paths
-produce the same pivot trace and the result is deterministic.
+delayed and applied as matrix products.  One kernel, parameterised by p,
+serves every prime: operands are split into 1, 2 or 3 limbs of 21 bits,
+as few as keep the limb products exact in a float64 GEMM, so the products
+go through BLAS.  The exact limb products of every k-chunk are summed in
+uint64 accumulators and reduced once (delayed reduction): by a float64
+quotient estimate and a wrapping uint64 correction, or by bit rotations
+when p = 2**61 - 1, since 2**61 == 1 (mod p).  The pivot choice (leftmost
+column, first nonzero row) is that of classical elimination, so the pivot
+trace is the same at every prime size and the result is deterministic.
 """
 
 from __future__ import annotations
@@ -156,22 +157,38 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# Mersenne-61 arithmetic.  Since 2**61 == 1 (mod p), the bits of a uint64
-# above bit 61 fold back onto the low 61 bits, and multiplying by 2**s is a
-# rotation of the 61-bit window.  Kernels therefore sum exact products in
-# uint64 and reduce once at the end (delayed reduction).
+# Modular reduction.  Kernels form sums and products in wrapping uint64
+# arithmetic, which is exact mod 2**64, and estimate the quotient by p in
+# float64; one step then reduces mod p (delayed reduction).
+
+
+def _reduce(v: np.ndarray, vf: np.ndarray, p: int, tmp: np.ndarray | None = None) -> np.ndarray:
+    """In place v = T mod p, for T >= 0 with v == T (mod 2**64), vf a float64
+    approximation of T with relative error below 2**-50, and T / p < 2**40.
+
+    q = rint(vf / p) is then within 1/2 + 2**-8 of T / p, so T - q*p lies in
+    (-p, p); uint64 arithmetic yields it exactly (mod 2**64, and p < 2**62),
+    and one unsigned minimum with T - q*p + p maps it into [0, p).  vf and
+    tmp (uint64 scratch of v's shape) are overwritten.
+    """
+    vf *= 1.0 / p
+    np.rint(vf, out=vf)
+    if tmp is None:
+        tmp = np.empty_like(v)
+    np.copyto(tmp.view(np.int64), vf, casting="unsafe")
+    tmp *= np.uint64(p)
+    v -= tmp
+    np.add(v, np.uint64(p), out=tmp)
+    np.minimum(v, tmp, out=v)
+    return v
+
+
+# The Mersenne case p = 2**61 - 1 of the reduction: since 2**61 == 1 (mod p),
+# the bits of a uint64 above bit 61 fold back onto the low 61 bits, and
+# multiplying by 2**s is a rotation of the 61-bit window.
 
 _M61 = np.uint64(MERSENNE61)
 _L32 = np.uint64(0xFFFFFFFF)
-
-# Dot products on 21-bit limbs: a residue x < 2**61 is x0 + x1*2**21 +
-# x2*2**42 with x0, x1 < 2**21 and x2 < 2**19, so Karatsuba sums of two limbs
-# are < 2**22, their products < 2**44, and 2**9 of those stay < 2**53, exact
-# in a float64 GEMM.  The six Karatsuba sums are accumulated in uint64 across
-# k-chunks; up to k = 2**17 every sum, and every recombined part, stays below
-# 2**61, the limit of the final rotations.
-_LIMB_PRODUCT_BITS = 44
-_ACC_K = 1 << (61 - _LIMB_PRODUCT_BITS)
 
 
 def _fold61(v: np.ndarray, tmp: np.ndarray) -> None:
@@ -248,14 +265,28 @@ def _recombine61(acc: np.ndarray) -> np.ndarray:
 
 
 def mulmod_vec(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Elementwise a*b mod p for reduced uint64 arrays (broadcasting allowed)."""
+    """Elementwise a*b mod p for reduced uint64 arrays (broadcasting allowed).
+
+    Mod 2**61 - 1 this is _mulmod61.  Otherwise b is taken in 31-bit digits,
+    one below 2**31 and two above, by Horner's rule: each step reduces
+    T = r * 2**31 + a * digit (T = a * digit in the first), and T / p < 2**32.
+    Residues are below 2**62, so their int64 views convert to float64.
+    """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     if p == MERSENNE61:
         return _mulmod61(a, b)
+    ai = a.view(np.int64)
     if p < 1 << 31:
-        return (a.astype(np.int64) * b.astype(np.int64) % p).astype(np.uint64)
-    return ((a.astype(object) * b.astype(object)) % p).astype(np.uint64)
+        return _reduce(a * b, np.multiply(ai, b.view(np.int64), dtype=np.float64), p)
+    hi = b >> np.uint64(31)
+    r = _reduce(a * hi, np.multiply(ai, hi.view(np.int64), dtype=np.float64), p)
+    lo = b & np.uint64(0x7FFFFFFF)
+    vf = np.multiply(ai, lo.view(np.int64), dtype=np.float64)
+    vf += r.view(np.int64) * 2.0**31
+    r <<= np.uint64(31)
+    r += a * lo
+    return _reduce(r, vf, p)
 
 
 # ---------------------------------------------------------------------------
@@ -274,28 +305,37 @@ def _condsub(v: np.ndarray, p: int) -> np.ndarray:
     return v
 
 
-def _addmod(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    return _condsub(x + y, p)
+# Dot products on 21-bit limbs.  A residue is split into as few limbs as
+# keep every product of limbs, or of Karatsuba sums of two limbs, below 2**44,
+# so that 2**9 of them sum exactly in a float64 GEMM: the residue itself for
+# p <= 2**22, two limbs for p < 2**42 and three below 2**62.  The exact
+# products are accumulated in uint64 across k-chunks; up to k = 2**17 every
+# sum, and every limb part formed from them, stays below 2**61.
+_LIMB_BITS = 21
+_LIMB_PRODUCT_BITS = 44
+_ACC_K = 1 << (61 - _LIMB_PRODUCT_BITS)
 
 
-def _sub_block(a, rlo, rhi, clo, chi, prod, p):
-    """a[rows, cols] = (a[rows, cols] - prod) mod p, all operands reduced."""
-    v = a[rlo:rhi, clo:chi] + (np.uint64(p) - prod)
-    a[rlo:rhi, clo:chi] = _condsub(v, p)
+class _Kernel:
+    """Update kernels mod p via exact float64 BLAS on limbs.
 
-
-class _M61Kernel:
-    """Update kernels for p = 2**61 - 1 via exact float64 BLAS on limbs.
+    With L limbs x = sum(x_i 2**(21 i)), a product x @ y takes L(L+1)/2
+    Karatsuba GEMMs (1, 3 or 6): x_i @ y_i, and (x_i + x_j) @ (y_i + y_j)
+    for i < j, from which the limb parts P_s = sum over i + j = s of
+    x_i @ y_j follow by subtraction.  The parts are reduced by Horner's rule
+    over 2**21, one reduction step each, or by rotations mod 2**61 - 1.
 
     One kernel serves one elimination.  It keeps its work buffers between
     calls, because faulting in fresh pages for every temporary costs more
     than the arithmetic done in them.
     """
 
-    p = MERSENNE61
-    chunk_k = 512  # sums of 512 products of 22-bit limb sums stay < 2**53
+    chunk_k = 512  # sums of 512 products below 2**44 stay < 2**53
 
-    def __init__(self):
+    def __init__(self, p: int):
+        self.p = p
+        self.limbs = 1 if (p - 1) ** 2 < 1 << _LIMB_PRODUCT_BITS else 2 if p < 1 << 42 else 3
+        self._pairs = [(i, j) for i in range(self.limbs) for j in range(i + 1, self.limbs)]
         self._scratch: dict[str, np.ndarray] = {}
 
     def _buf(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -312,21 +352,55 @@ class _M61Kernel:
         return buf[:size].reshape(shape)
 
     def _limbs(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write the 21-bit limbs x0, x1, x2 of x into out[0:3] as float64."""
+        """Write the limbs of x into out[0:L] as float64."""
+        xi = x.view(np.int64)  # residues < 2**62 read the same as int64
+        if self.limbs == 1:
+            np.copyto(out[0], xi, casting="unsafe")
+            return
         limb = self._buf("limb", x.shape, np.int64)
-        xi = x.view(np.int64)  # residues < 2**61 read the same as int64
-        for i, shift in enumerate((0, 21, 42)):
-            np.right_shift(xi, shift, out=limb)
-            limb &= 0x1FFFFF
+        for i in range(self.limbs):
+            np.right_shift(xi, _LIMB_BITS * i, out=limb)
+            limb &= (1 << _LIMB_BITS) - 1
             np.copyto(out[i], limb, casting="unsafe")
+
+    def _recombine(self, acc: np.ndarray) -> np.ndarray:
+        """Reduce the Karatsuba sums acc = (diagonal products, then cross sums
+        in the order of _pairs, then two scratch slots unless p = 2**61 - 1)
+        of a tile to x @ y mod p, in a buffer of acc; acc[-1] is left spent.
+
+        The uint64 differences wrap, but each true part is nonnegative and
+        below 2**61.
+        """
+        if self.p == MERSENNE61:
+            return _recombine61(acc)
+        vf, tmp = acc[-2].view(np.float64), acc[-1]
+        diag = acc[: self.limbs]
+        parts = [diag[s // 2] if s % 2 == 0 else None for s in range(2 * self.limbs - 1)]
+        for t, (i, j) in enumerate(self._pairs):
+            cross = acc[self.limbs + t]
+            cross -= diag[i]
+            cross -= diag[j]
+            if parts[i + j] is not None:
+                cross += parts[i + j]
+            parts[i + j] = cross
+        r = parts.pop()
+        np.copyto(vf, r.view(np.int64), casting="unsafe")
+        _reduce(r, vf, self.p, tmp)
+        for part in reversed(parts):  # r = r * 2**21 + P_s, reduced
+            np.multiply(r.view(np.int64), float(1 << _LIMB_BITS), out=vf)
+            vf += part.view(np.int64)
+            r <<= np.uint64(_LIMB_BITS)
+            r += part
+            _reduce(r, vf, self.p, tmp)
+        return r
 
     def _tiles(self, x, y):
         """Yield (r0, r1, w0, w1, s, tmp): s = (x @ y)[r0:r1, w0:w1] mod p,
-        and tmp a scratch array of the same shape.
+        and tmp a uint64 scratch array of the same shape.
 
-        Each stripe of _STRIPE output columns keeps six uint64 accumulators,
-        one per Karatsuba GEMM, and adds the exact float64 product of every
-        k-chunk into them; the limb parts are then formed and recombined once.
+        Each stripe of _STRIPE output columns keeps one uint64 accumulator
+        per Karatsuba GEMM, and adds the exact float64 product of every
+        k-chunk into them; the limb parts are then formed and reduced once.
         Rows go in tiles of about _TILE elements so elementwise passes run in
         cache.  Limbs and their sums are below 2**22, so float64 holds them
         and their sums and differences exactly.
@@ -337,40 +411,45 @@ class _M61Kernel:
         if k > _ACC_K:
             raise ValueError(f"inner dimension {k} exceeds the accumulator bound {_ACC_K}")
         n = y.shape[1]
+        nl = self.limbs
+        nprod = nl + len(self._pairs)
+        nacc = nprod + (self.p != MERSENNE61) * 2  # the scratch of the reduction
         for w0 in range(0, n, _STRIPE):
             w1 = min(w0 + _STRIPE, n)
             rows = max(1, _TILE // max(w1 - w0, self.chunk_k))  # bounds x tiles too
-            acc = self._buf("acc", (6, m, w1 - w0), np.uint64)
+            acc = self._buf("acc", (nacc, m, w1 - w0), np.uint64)
             acc_i64 = acc.view(np.int64)  # float64 -> int64 converts faster than -> uint64
             for k0 in range(0, k, self.chunk_k):
                 k1 = min(k0 + self.chunk_k, k)
-                # y0, y1, y2 and the Karatsuba sums y0+y1, y0+y2, y1+y2
-                ys = self._buf("y", (6, k1 - k0, w1 - w0), np.float64)
+                # the limbs y_i, then the Karatsuba sums y_i + y_j
+                ys = self._buf("y", (nprod, k1 - k0, w1 - w0), np.float64)
                 self._limbs(y[k0:k1, w0:w1], ys)
-                np.add(ys[0:2], ys[1:3], out=ys[3:6:2])
-                np.add(ys[0], ys[2], out=ys[4])
+                for t, (i, j) in enumerate(self._pairs):
+                    np.add(ys[i], ys[j], out=ys[nl + t])
                 for r0 in range(0, m, rows):
                     r1 = min(r0 + rows, m)
-                    xs = self._buf("x", (3, r1 - r0, k1 - k0), np.float64)
+                    xs = self._buf("x", (nl, r1 - r0, k1 - k0), np.float64)
                     self._limbs(x[r0:r1, k0:k1], xs)
-                    prods = self._buf("prods", (3, r1 - r0, w1 - w0), np.float64)
-                    for half in (0, 3):
-                        if half:  # x0, x1, x2 -> x0+x1, x0+x2, x1+x2 in place:
+                    prods = self._buf("prods", (nl, r1 - r0, w1 - w0), np.float64)
+                    for g0 in range(0, nprod, nl):  # the diagonal products, then the cross sums
+                        g = min(nl, nprod - g0)
+                        if g0:  # x0, x1[, x2] -> x0+x1[, x0+x2, x1+x2] in place:
                             xs[0] += xs[1]  # x0 + x1
-                            xs[2] += xs[1]  # x1 + x2
-                            xs[1] *= -2.0
-                            xs[1] += xs[0]
-                            xs[1] += xs[2]  # (x0 + x1) + (x1 + x2) - 2 x1
-                        np.matmul(xs, ys[half : half + 3], out=prods)
-                        part = acc_i64[half : half + 3, r0:r1]
+                            if nl == 3:
+                                xs[2] += xs[1]  # x1 + x2
+                                xs[1] *= -2.0
+                                xs[1] += xs[0]
+                                xs[1] += xs[2]  # (x0 + x1) + (x1 + x2) - 2 x1
+                        np.matmul(xs[:g], ys[g0 : g0 + g], out=prods[:g])
+                        part = acc_i64[g0 : g0 + g, r0:r1]
                         if k0:
-                            np.add(part, prods, out=part, dtype=np.int64, casting="unsafe")
+                            np.add(part, prods[:g], out=part, dtype=np.int64, casting="unsafe")
                         else:
-                            np.copyto(part, prods, casting="unsafe")
+                            np.copyto(part, prods[:g], casting="unsafe")
             for r0 in range(0, m, rows):
                 r1 = min(r0 + rows, m)
                 tile = acc[:, r0:r1]
-                yield r0, r1, w0, w1, _recombine61(tile), tile[1]  # tile[1] is spent
+                yield r0, r1, w0, w1, self._recombine(tile), tile[-1]
 
     def matmul_mod(self, x, y):
         """Exact (x @ y) mod p, for inner dimensions up to _ACC_K."""
@@ -386,57 +465,23 @@ class _M61Kernel:
         np.take(a[rlo:rhi], cols, axis=1, out=x)
         y = a[pr0 : pr0 + cols.size, clo:chi]
         block = a[rlo:rhi, clo:chi]
+        p = np.uint64(self.p)
         for r0, r1, w0, w1, s, tmp in self._tiles(x, y):
-            s ^= _M61  # p - s, for 0 <= s < p
+            np.subtract(p, s, out=s)
             v = block[r0:r1, w0:w1]
             v += s
-            np.subtract(v, _M61, out=tmp)
+            np.subtract(v, p, out=tmp)
             np.minimum(v, tmp, out=v)
 
     def scale_col(self, a, r1, j, scalar):
-        a[r1:, j] = _mulmod61(a[r1:, j], np.uint64(scalar))
+        a[r1:, j] = mulmod_vec(a[r1:, j], np.uint64(scalar), self.p)
 
     def outer_sub(self, a, r1, clo, chi, f, u):
-        prod = _mulmod61(f[:, None], u[None, :])
-        prod ^= _M61
+        prod = mulmod_vec(f[:, None], u[None, :], self.p)
+        np.subtract(np.uint64(self.p), prod, out=prod)
         v = a[r1:, clo:chi]
         v += prod
         _condsub(v, self.p)
-
-
-class _SmallKernel:
-    """Update kernels for small p: products of full residues fit float64."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.chunk_k = min(2048, (1 << 53) // (p - 1) ** 2)
-
-    def matmul_mod(self, x, y):
-        """Exact (x @ y) mod p; the inner dimension must be <= chunk_k."""
-        k = x.shape[1]
-        if k > self.chunk_k:
-            raise ValueError(f"inner dimension {k} exceeds exactness bound {self.chunk_k}")
-        out = np.empty((x.shape[0], y.shape[1]), dtype=np.uint64)
-        xf = x.astype(np.float64)
-        for w0 in range(0, y.shape[1], _STRIPE):
-            w1 = min(w0 + _STRIPE, y.shape[1])
-            w = xf @ y[:, w0:w1].astype(np.float64)
-            out[:, w0:w1] = (w.astype(np.int64) % self.p).astype(np.uint64)
-        return out
-
-    def gemm_sub(self, a, rlo, rhi, pr0, pivcols, clo, chi):
-        cols = np.asarray(pivcols, dtype=np.intp)
-        for k0 in range(0, cols.size, self.chunk_k):
-            kc = cols[k0 : k0 + self.chunk_k]
-            prod = self.matmul_mod(a[rlo:rhi, kc], a[pr0 + k0 : pr0 + k0 + kc.size, clo:chi])
-            _sub_block(a, rlo, rhi, clo, chi, prod, self.p)
-
-    def scale_col(self, a, r1, j, scalar):
-        a[r1:, j] = (a[r1:, j].astype(np.int64) * scalar % self.p).astype(np.uint64)
-
-    def outer_sub(self, a, r1, clo, chi, f, u):
-        q = f.astype(np.int64)[:, None] * u.astype(np.int64)[None, :] % self.p
-        _sub_block(a, r1, a.shape[0], clo, chi, q.astype(np.uint64), self.p)
 
 
 def _ple_leaf(a, kern, r0, c0, c1, pivs):
@@ -471,8 +516,9 @@ def _ple_leaf(a, kern, r0, c0, c1, pivs):
 def _trsm_leaf(a, kern, r0, left, clo, chi):
     """Apply (I + N)^-1 to k pivot rows, N = stored strict-lower multipliers.
 
-    The inverse is the Neumann sum of the nilpotent -N, built by doubling
-    (log2 k small matmuls), after which all k rows update in one product.
+    The inverse is the Neumann sum of the nilpotent -N, built by doubling:
+    one small product per step gives both inv @ power and power @ power
+    (about log2 k products), after which all k rows update in one product.
     """
     k = len(left)
     if k == 1:
@@ -487,10 +533,10 @@ def _trsm_leaf(a, kern, r0, left, clo, chi):
     power = kern.matmul_mod(neg, neg)
     span = 2
     while span < k:
-        inv = _addmod(kern.matmul_mod(inv, power), inv, p)
         span *= 2
-        if span < k:
-            power = kern.matmul_mod(power, power)
+        prod = kern.matmul_mod(np.vstack((inv, power)) if span < k else inv, power)
+        inv = _condsub(prod[:k] + inv, p)
+        power = prod[k:]
     a[r0 : r0 + k, clo:chi] = kern.matmul_mod(inv, a[r0 : r0 + k, clo:chi])
 
 
@@ -530,73 +576,13 @@ def _ple(a, kern, r0, c0, c1, pivs):
     _ple(a, kern, r0 + k, mid, c1, pivs)
 
 
-def _elim_rows_int64(a, p):
-    """Classical per-pivot elimination; exact while p**2 < 2**63."""
-    m, n = a.shape
-    pivs: list[int] = []
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, j])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        if r + 1 < m:
-            inv = pow(int(a[r, j]), -1, p)
-            f = a[r + 1 :, j] * inv % p
-            if j + 1 < n:
-                a[r + 1 :, j + 1 :] = (a[r + 1 :, j + 1 :] - f[:, None] * a[r, j + 1 :]) % p
-            a[r + 1 :, j] = f
-        pivs.append(j)
-        r += 1
-    return pivs
-
-
-def _elim_rows_object(a, p):
-    """Per-pivot elimination on Python integers; any p, no overflow limits."""
-    m, n = a.shape
-    pivs: list[int] = []
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, j])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        if r + 1 < m:
-            inv = pow(int(a[r, j]), -1, p)
-            f = a[r + 1 :, j] * inv % p
-            if j + 1 < n:
-                a[r + 1 :, j + 1 :] = (a[r + 1 :, j + 1 :] - f[:, None] * a[r, j + 1 :]) % p
-            a[r + 1 :, j] = f
-        pivs.append(j)
-        r += 1
-    return pivs
-
-
 def _rank_with_pivots(a: np.ndarray, p: int) -> tuple[int, list[int]]:
     """Rank and pivot-column trace of a reduced uint64 matrix mod p."""
     m, n = a.shape
     if m == 0 or n == 0:
         return 0, []
-    if p == MERSENNE61:
-        pivs: list[int] = []
-        _ple(a.copy(), _M61Kernel(), 0, 0, n, pivs)
-        return len(pivs), pivs
-    if (p - 1) ** 2 * 64 <= 1 << 53:
-        pivs = []
-        _ple(a.copy(), _SmallKernel(p), 0, 0, n, pivs)
-        return len(pivs), pivs
-    if p < 1 << 31:
-        pivs = _elim_rows_int64(a.astype(np.int64), p)
-        return len(pivs), pivs
-    pivs = _elim_rows_object(a.astype(object), p)
+    pivs: list[int] = []
+    _ple(a.copy(), _Kernel(p), 0, 0, n, pivs)
     return len(pivs), pivs
 
 

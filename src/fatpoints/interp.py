@@ -36,6 +36,7 @@ __all__ = [
     "OnQuadric",
     "DegenerateConfigurationError",
     "QuadricSampleError",
+    "VirtualBoundError",
     "monomial_exponents",
     "condition_rows",
     "effective_dim",
@@ -49,6 +50,11 @@ SamplePoint = tuple[int, ...]
 
 class DegenerateConfigurationError(RuntimeError):
     """The sampled points failed a genericity requirement (resample)."""
+
+
+class VirtualBoundError(RuntimeError):
+    """A computed rank exceeds what the virtual dimension allows: the rank
+    engine or the condition matrix is wrong, never the points."""
 
 
 class QuadricSampleError(RuntimeError):
@@ -306,7 +312,7 @@ def effective_dim(
             rank = max(rank, _system_matrix(sys, pts, field).rank())
     h0 = monomials - rank
     if h0 < max(v + 1, 0):
-        raise AssertionError(
+        raise VirtualBoundError(
             f"rank {rank} exceeds the virtual bound for {sys}: h0={h0} < {max(v + 1, 0)}"
         )
     edim_actual = h0 - 1

@@ -9,7 +9,10 @@ import pytest
 
 from fatpoints import cli
 from fatpoints.cli import cli_main
+from fatpoints.gfprime import PrimeFieldMatrix
+from fatpoints.interp import VirtualBoundError, effective_dim
 from fatpoints.pipeline import RunConfig, run_counterexample
+from fatpoints.syscore import parse_system
 
 
 def test_no_arguments_is_a_usage_error():
@@ -143,6 +146,18 @@ def test_counterexample_failure_exits_one(monkeypatch, capsys):
     code = cli_main(["counterexample", "--seed", "1"])
     assert code == 1
     assert "verdict: fail" in capsys.readouterr().out
+
+
+def test_rank_above_the_virtual_bound_exits_one(monkeypatch, capsys):
+    """A rank the virtual dimension forbids is a typed error that the CLI
+    reports with exit code 1, not a traceback."""
+    monkeypatch.setattr(PrimeFieldMatrix, "rank", lambda self: self.cols + 1)
+    code = cli_main(["special", "L3(4,2^9)", "--seed", "1", "--trials", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rank 36 exceeds the virtual bound")
+    with pytest.raises(VirtualBoundError):
+        effective_dim(parse_system("L3(4,2^9)"), trials=1, seed=1)
 
 
 def test_environment_seed_is_used(monkeypatch, capsys):

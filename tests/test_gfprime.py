@@ -15,15 +15,44 @@ from fatpoints.gfprime import (
     MERSENNE61,
     PrimeField,
     PrimeFieldMatrix,
-    _elim_rows_object,
-    _M61Kernel,
+    _Kernel,
     _rank_with_pivots,
     is_prime,
     mulmod_vec,
 )
 
 SMALL_PRIMES = [3, 5, 7, 13, 17, 101, 103, 7681]
-BACKEND_PRIMES = [101, 2147483629, 4294967311, MERSENNE61]
+P40 = 2**40 - 87
+P62 = 4611686018427387847  # the largest prime below 2**62
+BACKEND_PRIMES = [101, 2147483629, 4294967311, P40, P62, MERSENNE61]
+
+
+def _elim_rows_object(a, p):
+    """Per-pivot elimination on Python integers; any p, no overflow limits.
+
+    The reference oracle for the pivot traces of the blocked engine.
+    """
+    m, n = a.shape
+    pivs: list[int] = []
+    r = 0
+    for j in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, j])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        if r + 1 < m:
+            inv = pow(int(a[r, j]), -1, p)
+            f = a[r + 1 :, j] * inv % p
+            if j + 1 < n:
+                a[r + 1 :, j + 1 :] = (a[r + 1 :, j + 1 :] - f[:, None] * a[r, j + 1 :]) % p
+            a[r + 1 :, j] = f
+        pivs.append(j)
+        r += 1
+    return pivs
 
 
 def test_primality_known_values():
@@ -257,7 +286,7 @@ def test_m61_matmul_mod_matches_integers(seed, fill, m, k, n):
     rng = np.random.default_rng(seed)
     x = _residues(rng, (m, k), fill)
     y = _residues(rng, (k, n), fill)
-    got = _M61Kernel().matmul_mod(x, y)
+    got = _Kernel(P61).matmul_mod(x, y)
     assert got.dtype == np.uint64
     assert (got.astype(object) == _int_matmul(x, y)).all()
 
@@ -276,7 +305,7 @@ def test_m61_gemm_sub_updates_a_view_in_place(seed, fill, m, k, n):
     before = big.copy()
     pivcols = list(rng.permutation(k))
     want = (view[k:, k:].astype(object) - _int_matmul(view[k:, pivcols], view[:k, k:])) % P61
-    _M61Kernel().gemm_sub(view, k, k + m, 0, pivcols, k, k + n)
+    _Kernel(P61).gemm_sub(view, k, k + m, 0, pivcols, k, k + n)
     assert (view[k:, k:].astype(object) == want).all()
     changed = big != before
     changed[2 + k : 2 + k + m, 3 + k : 3 + k + n] = False
@@ -292,7 +321,7 @@ def test_m61_scale_col_and_outer_sub_match_integers(seed, fill, rows):
     scalar = int(_residues(rng, (1,), fill)[0])
     ref = a.astype(object)
     ref[1:, 2] = ref[1:, 2] * scalar % P61
-    kern = _M61Kernel()
+    kern = _Kernel(P61)
     kern.scale_col(a, 1, 2, scalar)
     assert (a.astype(object) == ref).all()
     f, u = a[1:, 2].copy(), a[0, 3:8].copy()
@@ -315,7 +344,7 @@ def test_m61_mulmod_vec_matches_integers(seed, fill, size):
 
 
 def test_m61_kernel_bounds_raise():
-    kern = _M61Kernel()
+    kern = _Kernel(P61)
     k = gfprime._ACC_K + 1
     with pytest.raises(ValueError, match="accumulator bound"):
         kern.matmul_mod(np.zeros((1, k), dtype=np.uint64), np.zeros((k, 1), dtype=np.uint64))
@@ -341,7 +370,7 @@ def test_pivot_trace_across_chunk_and_stripe_boundaries(monkeypatch):
     """The blocked engine at M61 with tiny chunk, stripe, tile and trsm sizes,
     so a small matrix crosses every boundary many times, against the
     classical elimination on Python integers."""
-    monkeypatch.setattr(_M61Kernel, "chunk_k", 8)
+    monkeypatch.setattr(_Kernel, "chunk_k", 8)
     monkeypatch.setattr(gfprime, "_STRIPE", 16)
     monkeypatch.setattr(gfprime, "_TILE", 40)
     monkeypatch.setattr(gfprime, "_TRSM_LEAF", 4)
@@ -391,3 +420,153 @@ def test_pivot_trace_of_a_planted_rank_profile_at_full_size():
     rank, pivots = _rank_with_pivots(a, P61)
     assert rank == r
     assert pivots == [int(c) for c in profile]
+
+
+# ---------------------------------------------------------------------------
+# The kernel at every limb count against Python integers.
+
+KERNEL_PRIMES = [
+    7681,
+    1048573,
+    4194301,  # the largest one-limb prime: (p - 1)**2 < 2**44
+    4194319,  # the smallest two-limb prime
+    2**31 - 1,
+    P40,
+    4398046511093,  # the largest prime below 2**42, two limbs
+    4398046511119,  # the smallest prime above 2**42, three limbs
+    P62,
+    P61,
+]
+EDGE_FILLS = ("random", "max", "edges")
+
+
+def test_kernel_primes_cover_every_limb_count():
+    limbs = [_Kernel(p).limbs for p in KERNEL_PRIMES]
+    assert limbs == [1, 1, 1, 2, 2, 2, 2, 3, 3, 3]
+    assert all(is_prime(p) for p in KERNEL_PRIMES)
+    assert not any(is_prime(n) for n in range(4194302, 4194319))
+    assert not any(is_prime(n) for n in range(4398046511094, 4398046511119))
+    assert not any(is_prime(n) for n in range(P62 + 1, 2**62))
+
+
+def _residues_mod(p, rng, shape, fill):
+    """Reduced uint64 residues mod p: uniform, all p - 1 (the largest limbs
+    and products), or a mix of 0, 1 and p - 1."""
+    if fill == "max":
+        return np.full(shape, p - 1, dtype=np.uint64)
+    out = rng.integers(0, p, size=shape, dtype=np.uint64)
+    if fill == "edges":
+        mask = rng.random(shape) < 0.5
+        out[mask] = rng.choice(np.array([0, 1, p - 1], dtype=np.uint64), size=int(mask.sum()))
+    return out
+
+
+def _int_matmul_mod(x, y, p):
+    return (x.astype(object) @ y.astype(object)) % p
+
+
+prime_kernel_cases = given(
+    seed=st.integers(0, 2**32 - 1),
+    fill=st.sampled_from(EDGE_FILLS),
+    m=st.integers(1, 3),
+    k=st.integers(1, 40),
+    n=st.integers(1, 40),
+)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@prime_kernel_cases
+@settings(max_examples=10, deadline=None)
+@example(seed=1, fill="max", m=2, k=511, n=3)
+@example(seed=2, fill="edges", m=2, k=512, n=3)
+@example(seed=3, fill="max", m=2, k=513, n=3)
+@example(seed=4, fill="random", m=2, k=1025, n=2)
+@example(seed=5, fill="edges", m=2, k=3, n=1023)
+@example(seed=6, fill="max", m=2, k=3, n=1024)
+@example(seed=7, fill="random", m=2, k=3, n=1025)
+@example(seed=8, fill="max", m=1, k=gfprime._ACC_K, n=1)  # the accumulator bound
+def test_kernel_matmul_mod_matches_integers(p, seed, fill, m, k, n):
+    rng = np.random.default_rng(seed)
+    x = _residues_mod(p, rng, (m, k), fill)
+    y = _residues_mod(p, rng, (k, n), fill)
+    got = _Kernel(p).matmul_mod(x, y)
+    assert got.dtype == np.uint64
+    assert (got.astype(object) == _int_matmul_mod(x, y, p)).all()
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@prime_kernel_cases
+@settings(max_examples=10, deadline=None)
+@example(seed=11, fill="max", m=2, k=513, n=5)
+@example(seed=12, fill="max", m=3, k=2, n=1025)
+@example(seed=13, fill="edges", m=1, k=1025, n=1024)
+def test_kernel_gemm_sub_updates_a_view_in_place(p, seed, fill, m, k, n):
+    rng = np.random.default_rng(seed)
+    big = _residues_mod(p, rng, (k + m + 4, k + n + 6), fill)
+    view = big[2:-2, 3:-3]
+    before = big.copy()
+    pivcols = list(rng.permutation(k))
+    want = (view[k:, k:].astype(object) - _int_matmul_mod(view[k:, pivcols], view[:k, k:], p)) % p
+    _Kernel(p).gemm_sub(view, k, k + m, 0, pivcols, k, k + n)
+    assert (view[k:, k:].astype(object) == want).all()
+    changed = big != before
+    changed[2 + k : 2 + k + m, 3 + k : 3 + k + n] = False
+    assert not changed.any()
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(EDGE_FILLS), rows=st.integers(1, 300))
+@settings(max_examples=10, deadline=None)
+@example(seed=0, fill="max", rows=1)
+@example(seed=1, fill="edges", rows=300)
+def test_kernel_scale_col_and_outer_sub_match_integers(p, seed, fill, rows):
+    rng = np.random.default_rng(seed)
+    a = _residues_mod(p, rng, (rows + 1, 9), fill)
+    scalar = int(_residues_mod(p, rng, (1,), fill)[0])
+    ref = a.astype(object)
+    ref[1:, 2] = ref[1:, 2] * scalar % p
+    kern = _Kernel(p)
+    kern.scale_col(a, 1, 2, scalar)
+    assert (a.astype(object) == ref).all()
+    f, u = a[1:, 2].copy(), a[0, 3:8].copy()
+    ref[1:, 3:8] = (ref[1:, 3:8] - np.outer(f.astype(object), u.astype(object))) % p
+    kern.outer_sub(a, 1, 3, 8, f, u)
+    assert (a.astype(object) == ref).all()
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(EDGE_FILLS), size=st.integers(0, 2000))
+@settings(max_examples=10, deadline=None)
+@example(seed=0, fill="max", size=1)
+@example(seed=1, fill="edges", size=2000)
+def test_kernel_mulmod_vec_matches_integers(p, seed, fill, size):
+    rng = np.random.default_rng(seed)
+    a = _residues_mod(p, rng, (size,), fill)
+    b = _residues_mod(p, rng, (size,), fill)
+    got = mulmod_vec(a, b, p)
+    assert got.dtype == np.uint64
+    assert (got.astype(object) == a.astype(object) * b.astype(object) % p).all()
+    edges = np.array([0, 1, p - 1], dtype=np.uint64)
+    got = mulmod_vec(edges[:, None], edges[None, :], p)  # broadcasting
+    assert (got.astype(object) == np.outer(edges.astype(object), edges.astype(object)) % p).all()
+
+
+@pytest.mark.parametrize("p", [1048573, P40, P62])  # one, two and three limbs
+def test_pivot_trace_at_every_limb_count(p, monkeypatch):
+    """The blocked engine with tiny chunk, stripe, tile and trsm sizes, so a
+    small matrix crosses every boundary many times, against the classical
+    elimination on Python integers."""
+    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+    monkeypatch.setattr(gfprime, "_STRIPE", 16)
+    monkeypatch.setattr(gfprime, "_TILE", 40)
+    monkeypatch.setattr(gfprime, "_TRSM_LEAF", 4)
+    rng = np.random.default_rng(31)
+    raw = rng.integers(0, p, size=(90, 130), dtype=np.uint64)
+    raw[45] = raw[1]
+    raw[89] = (raw[2].astype(object) + raw[5]) % p
+    raw[60:70] = raw[10:20]
+    raw[:, 43] = 0
+    raw[:, 50:53] = p - 1
+    rank, pivots = _rank_with_pivots(raw.copy(), p)
+    assert pivots == _elim_rows_object(raw.astype(object), p)
+    assert rank == len(pivots)
