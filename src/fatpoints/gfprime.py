@@ -7,17 +7,20 @@ witnesses the generic rank of an interpolation matrix with failure
 probability on the order of (degree)/p per trial.
 
 The rank engine is a recursive block elimination (PLE decomposition).
-Column panels are split in half down to a small leaf width; pivoting
-inside a leaf is classical row elimination, while cross-panel updates are
-delayed and applied as matrix products.  One kernel, parameterised by p,
-serves every prime: operands are split into 1, 2 or 3 limbs of 21 bits,
-as few as keep the limb products exact in a float64 GEMM, so the products
-go through BLAS.  The exact limb products of every k-chunk are summed in
-uint64 accumulators and reduced once (delayed reduction): by a float64
-quotient estimate and a wrapping uint64 correction, or by bit rotations
-when p = 2**61 - 1, since 2**61 == 1 (mod p).  The pivot choice (leftmost
-column, first nonzero row) is that of classical elimination, so the pivot
-trace is the same at every prime size and the result is deterministic.
+Column panels are split in half down to a small leaf width (a panel wider
+than the rows left is cut no further left than where it could give every
+row a pivot), and the elimination stops once every row has a pivot;
+pivoting inside a leaf is classical row elimination, while cross-panel
+updates are delayed and applied as matrix products.  One kernel,
+parameterised by p, serves every prime: operands are split into 1, 2 or 3
+limbs of 21 bits, as few as keep the limb products exact in a float64
+GEMM, so the products go through BLAS.  The exact limb products of every
+k-chunk are summed in uint64 accumulators and reduced once (delayed
+reduction): by a float64 quotient estimate and a wrapping uint64
+correction, or by bit rotations when p = 2**61 - 1, since 2**61 == 1
+(mod p).  The pivot choice (leftmost column, first nonzero row) is that
+of classical elimination, so the pivot trace is the same at every prime
+size and the result is deterministic.
 """
 
 from __future__ import annotations
@@ -558,6 +561,25 @@ def _trsm(a, kern, r0, left, clo, chi):
 
 
 def _ple(a, kern, r0, c0, c1, pivs):
+    """Leftmost-first PLE of columns [c0, c1) from row r0 down, appending the
+    pivot columns to pivs.
+
+    A panel is split at its middle, or, when it is wider than the m - r0
+    rows left, at max(middle, c0 + (m - r0)): the left part is then wide
+    enough to give every row a pivot.  Keeping at least the middle halves
+    the width at every level, so the recursion stays about log2(width)
+    deep even when a wide matrix falls short of full row rank at every
+    level; splitting at c0 + (m - r0) alone would peel off only m - r0
+    columns per level.  Once the left part has a pivot for every row
+    (r0 + k >= m), the elimination stops without updating the right part.
+
+    Both shortcuts are exact.  The leftmost-first pivots (the column rank
+    profile) do not depend on the split points, the rank is at most the
+    number of rows, and a column to the right of the last row's pivot
+    cannot change the leftmost-first choice of the pivots before it.  The
+    matrix is left partly updated when the elimination stops; only the
+    pivot trace is the result.
+    """
     m = a.shape[0]
     if r0 >= m or c0 >= c1:
         return
@@ -565,14 +587,17 @@ def _ple(a, kern, r0, c0, c1, pivs):
         _ple_leaf(a, kern, r0, c0, c1, pivs)
         return
     mid = (c0 + c1) // 2
+    if c1 - c0 > m - r0:
+        mid = max(mid, c0 + (m - r0))
     base = len(pivs)
     _ple(a, kern, r0, c0, mid, pivs)
     left = pivs[base:]
     k = len(left)
+    if r0 + k >= m:
+        return
     if k:
         _trsm(a, kern, r0, left, mid, c1)
-        if r0 + k < m:
-            kern.gemm_sub(a, r0 + k, m, r0, left, mid, c1)
+        kern.gemm_sub(a, r0 + k, m, r0, left, mid, c1)
     _ple(a, kern, r0 + k, mid, c1, pivs)
 
 

@@ -84,7 +84,10 @@ class RankReport:
     dimension of the system from above, and `special` compares the
     resulting effective dimension against the expected one.  `analytic`
     marks verdicts short-circuited without a matrix (multiplicity above
-    degree + 1 empties the system identically).
+    degree + 1 empties the system identically).  `trials` is the number
+    of trials requested and `trials_run` the number ranked: fewer when a
+    trial reaches the ceiling min(conditions, monomials), and 0 for
+    analytic verdicts and systems without conditions.
     """
 
     system: FatPointSystem
@@ -100,6 +103,7 @@ class RankReport:
     seed: int
     prime: int
     analytic: bool = False
+    trials_run: int = 0
 
 
 @lru_cache(maxsize=None)
@@ -218,6 +222,10 @@ def condition_rows(pt: SamplePoint, m: int, n: int, d: int) -> list[list[int]]:
     return _condition_blocks(values, m, n, d, p)[0].tolist()
 
 
+# Draws of one trial's points before a degenerate configuration is an error.
+_DRAW_ATTEMPTS = 8
+
+
 def _draw_points(
     count: int,
     n: int,
@@ -225,6 +233,18 @@ def _draw_points(
     rng: np.random.Generator,
     constraints,
 ) -> list[SamplePoint]:
+    """One trial's points.  When nine points of an OnQuadric constraint lie
+    on no unique quadric, all the points are drawn again from the same rng,
+    up to _DRAW_ATTEMPTS draws; the last failure is raised."""
+    for _ in range(_DRAW_ATTEMPTS - 1):
+        try:
+            return _draw_once(count, n, field, rng, constraints)
+        except DegenerateConfigurationError:
+            pass
+    return _draw_once(count, n, field, rng, constraints)
+
+
+def _draw_once(count, n, field, rng, constraints) -> list[SamplePoint]:
     pts: list[SamplePoint] = []
     quadrics: dict[tuple[int, ...], tuple[int, ...]] = {}
     for i in range(count):
@@ -283,9 +303,14 @@ def effective_dim(
     overcounted, so special = true is wrong only with probability about
     (degree of the relevant degeneracy locus) / p per trial.
 
+    The trials stop early once the rank reaches min(conditions,
+    monomials), which no later trial can exceed, so the reported rank is
+    the one all trials would give; `trials_run` records how many ran.
+
     The same (seed, trials, prime, constraints) produce the same points
     for any system with the same number of base points, which is what
-    makes fixed-component comparisons meaningful.
+    makes fixed-component comparisons meaningful: every trial draws from
+    its own child of the seed, so skipping later trials changes no draw.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -300,16 +325,18 @@ def effective_dim(
     v = vdim(sys)
     expected = edim_expected(sys)
     analytic = any(m > d + 1 for m in sys.mults)
+    rank = trials_run = 0
     if analytic:
         rank = monomials  # a multiplicity above d+1 kills every form
-    elif conditions == 0:
-        rank = 0
-    else:
-        rank = 0
+    elif conditions:
+        ceiling = min(conditions, monomials)
         for child in np.random.SeedSequence(seed).spawn(trials):
             rng = np.random.default_rng(child)
             pts = _draw_points(sys.npoints, n, field, rng, constraints)
             rank = max(rank, _system_matrix(sys, pts, field).rank())
+            trials_run += 1
+            if rank == ceiling:
+                break
     h0 = monomials - rank
     if h0 < max(v + 1, 0):
         raise VirtualBoundError(
@@ -330,6 +357,7 @@ def effective_dim(
         seed=seed,
         prime=prime,
         analytic=analytic,
+        trials_run=trials_run,
     )
 
 

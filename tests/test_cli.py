@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from fatpoints import cli
+from fatpoints import cli, interp
 from fatpoints.cli import cli_main
 from fatpoints.gfprime import PrimeFieldMatrix
 from fatpoints.interp import VirtualBoundError, effective_dim
@@ -158,6 +159,43 @@ def test_rank_above_the_virtual_bound_exits_one(monkeypatch, capsys):
     assert err.startswith("error: rank 36 exceeds the virtual bound")
     with pytest.raises(VirtualBoundError):
         effective_dim(parse_system("L3(4,2^9)"), trials=1, seed=1)
+
+
+# sha256 of the --json output at the default prime and trials, recorded
+# before effective_dim stopped its trials at the rank ceiling: L3(9,6,4^8)
+# runs all three trials, L2(12,3^2,4^8) reaches its ceiling in the first.
+JSON_SHA256 = {
+    ("counterexample", 1): "0ae693c4486d8624a84e14f006bbca70e1f89b7dffdc6bd5ea40790777b75958",
+    ("counterexample", 7): "3f1d9ccd331511fa0b06044332acfb5fafb125a0fa6ce050a40a46ea7a735a6d",
+    ("counterexample", 2024): "3120211b298cc677c1690a8064feeb9888cc5af3fcaa70e3153c20ded8112077",
+    ("L3(9,6,4^8)", 1): "d45573093782a355a2081d4bcbc79f3a9ba9da2ca01557b9cfdb7c35cc9a22fe",
+    ("L3(9,6,4^8)", 7): "d58ae3069fb22601dbeb3a4b485920a9d0a584507571ddc9542975c2df741e1d",
+    ("L3(9,6,4^8)", 2024): "f965fccd2a89fc1e658d0dd81413f427375553234515601a1920c20a4561c501",
+    ("L2(12,3^2,4^8)", 1): "0e69e5e1edd0d128bb72c59b1ab0bf4b813f49e5055f6297b3efa2d6a94f1650",
+    ("L2(12,3^2,4^8)", 7): "a8f1d078c4ba9fe9923612db023c1011e2a533b5944bae715c3685c66b72c09f",
+    ("L2(12,3^2,4^8)", 2024): "13f2705656fed49c19df85ac9b6dc4cebd596e435fb31484a656a75738ce5f50",
+}
+
+
+@pytest.mark.parametrize("what, seed", list(JSON_SHA256))
+def test_json_bytes_are_pinned(what, seed, capsys):
+    argv = ["counterexample"] if what == "counterexample" else ["special", what]
+    assert cli_main(argv + ["--seed", str(seed), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_SHA256[what, seed]
+    if what != "counterexample":
+        payload = json.loads(out)
+        assert payload["trials"] == 3  # the count requested, not the count run
+        assert "trials_run" not in payload
+
+
+def test_degenerate_configuration_after_the_retry_budget_exits_one(monkeypatch, capsys):
+    def degenerate(points, field):
+        raise interp.DegenerateConfigurationError("planted degenerate configuration")
+
+    monkeypatch.setattr(interp, "quadric_through", degenerate)
+    assert cli_main(["counterexample", "--seed", "1", "--trials", "1"]) == 1
+    assert capsys.readouterr().err == "error: planted degenerate configuration\n"
 
 
 def test_environment_seed_is_used(monkeypatch, capsys):

@@ -570,3 +570,121 @@ def test_pivot_trace_at_every_limb_count(p, monkeypatch):
     rank, pivots = _rank_with_pivots(raw.copy(), p)
     assert pivots == _elim_rows_object(raw.astype(object), p)
     assert rank == len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# Early termination: the wide-panel split and the stop once every row has a
+# pivot, against the oracle at one, two and three limbs.
+
+SPLIT_PRIMES = [101, 1048573, P40, P62]  # one limb (twice), two and three
+
+
+def _shrunk(monkeypatch):
+    """Leaf, trsm, stripe and chunk sizes small enough for a small matrix to
+    cross every boundary and recurse many levels deep."""
+    monkeypatch.setattr(gfprime, "_LEAF_W", 2)
+    monkeypatch.setattr(gfprime, "_TRSM_LEAF", 4)
+    monkeypatch.setattr(gfprime, "_STRIPE", 16)
+    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+
+
+def _planted(rng, p, m, n, profile):
+    """An m x n matrix mod p whose column rank profile is `profile`: a random
+    m x r matrix (full column rank with overwhelming probability, checked by
+    the oracle's rank) times an r x n echelon form with pivots there."""
+    r = len(profile)
+    e = rng.integers(0, p, size=(r, n), dtype=np.uint64)
+    e[np.arange(n)[None, :] < np.asarray(profile, dtype=np.intp)[:, None]] = 0
+    e[np.arange(r), profile] = 1
+    ell = rng.integers(0, p, size=(m, r), dtype=np.uint64)
+    return ((ell.astype(object) @ e.astype(object)) % p).astype(np.uint64)
+
+
+def _ple_calls(monkeypatch):
+    """Record (rows, r0, c0, c1) of every _ple call."""
+    calls = []
+    inner = gfprime._ple
+
+    def recorded(a, kern, r0, c0, c1, pivs):
+        calls.append((a.shape[0], r0, c0, c1))
+        inner(a, kern, r0, c0, c1, pivs)
+
+    monkeypatch.setattr(gfprime, "_ple", recorded)
+    return calls
+
+
+def _assert_oracle_trace(a, p):
+    rank, pivots = _rank_with_pivots(a.copy(), p)
+    assert pivots == _elim_rows_object(a.astype(object), p)
+    assert rank == len(pivots)
+    return pivots
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_wide_full_row_rank_with_dependent_leading_columns(p, monkeypatch):
+    """24 x 150 of full row rank whose first eight columns span one line and
+    whose columns 30-39 are zero.  The panel [0, 37) is split at column 24,
+    not at its middle 18, but the 24 columns hold only 17 pivots, so the
+    elimination goes on to the right; it stops at the last row's pivot in
+    column 40 and never visits the 109 columns after it."""
+    _shrunk(monkeypatch)
+    rng = np.random.default_rng(p % 997)
+    profile = [0] + list(range(8, 30)) + [40]
+    a = _planted(rng, p, 24, 150, profile)
+    calls = _ple_calls(monkeypatch)
+    assert _assert_oracle_trace(a, p) == profile
+    assert (24, 0, 0, 24) in calls
+    assert max(c0 for _, _, c0, _ in calls) <= 40
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_wide_rank_deficient_matrix_repeats_the_split(p, monkeypatch):
+    """40 x 120 of rank 25, pivots spread out: panels right of a short left
+    part are wider than their rows again, so the split at c0 + (m - r0)
+    acts at several levels, and no row ever runs out, so nothing stops
+    early."""
+    _shrunk(monkeypatch)
+    rng = np.random.default_rng(p % 991)
+    profile = sorted(int(c) for c in rng.choice(np.arange(1, 120, 2), size=25, replace=False))
+    a = _planted(rng, p, 40, 120, profile)
+    calls = _ple_calls(monkeypatch)
+    assert _assert_oracle_trace(a, p) == profile
+    split = [
+        (m, r0, c0, c0 + (m - r0))
+        for m, r0, c0, c1 in calls
+        if c1 - c0 > 2 and c1 - c0 > m - r0 and c0 + (m - r0) > (c0 + c1) // 2
+    ]
+    assert sum(call in calls for call in split) >= 2
+
+
+@pytest.mark.parametrize("shape, profile", [((4, 6000), [3]), ((64, 1000), [3, 100, 900])])
+def test_wide_low_rank_matrix_keeps_the_recursion_shallow(shape, profile, monkeypatch):
+    """On the 4 x 6000 matrix of rank 1, a split at c0 + (m - r0) alone would
+    peel off three columns per level and exceed Python's recursion limit;
+    the split at no less than the middle keeps the depth logarithmic."""
+    _shrunk(monkeypatch)
+    m, n = shape
+    a = _planted(np.random.default_rng(n), 101, m, n, profile)
+    assert _assert_oracle_trace(a, 101) == profile
+
+
+@st.composite
+def planted_matrices(draw):
+    """(p, matrix, profile): shapes up to 4m columns wide, any rank."""
+    p = draw(st.sampled_from(SPLIT_PRIMES + [P61]))
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 4 * m))
+    profile = draw(st.lists(st.integers(0, n - 1), max_size=min(m, n), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return p, _planted(rng, p, m, n, sorted(profile)), sorted(profile)
+
+
+@given(case=planted_matrices())
+@settings(max_examples=60, deadline=None)
+def test_pivot_trace_of_planted_profiles_matches_the_oracle(case):
+    p, a, profile = case
+    with pytest.MonkeyPatch.context() as mp:
+        _shrunk(mp)
+        pivots = _assert_oracle_trace(a, p)
+    # a random left factor can be rank deficient, with probability about r / p
+    assert pivots == profile or p == 101

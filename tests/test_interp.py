@@ -312,3 +312,86 @@ def test_on_quadric_raises_when_the_point_misses_the_surface():
     q = quadric_through(pts, field)
     with pytest.raises(ArithmeticError, match="not on the quadric"):
         on_quadric(q, np.random.default_rng(7), field)
+
+
+def _counted_system_matrix(monkeypatch):
+    """Count the condition matrices built, one per trial that runs."""
+    calls = []
+    inner = interp._system_matrix
+
+    def counted(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(interp, "_system_matrix", counted)
+    return calls
+
+
+def test_trials_stop_once_the_rank_reaches_its_ceiling(monkeypatch):
+    calls = _counted_system_matrix(monkeypatch)
+    rep = effective_dim(parse_system("L2(12,3^2,4^8)"), trials=3, seed=5)
+    assert rep.rank == min(rep.conditions, rep.monomials) == 91
+    assert (rep.trials, rep.trials_run) == (3, 1)
+    assert len(calls) == 1
+
+
+def test_rank_deficient_system_runs_every_trial(monkeypatch):
+    calls = _counted_system_matrix(monkeypatch)
+    rep = effective_dim(parse_system("L2(4,2^5)"), trials=3, seed=5)  # the double conic
+    assert rep.rank == 14 < min(rep.conditions, rep.monomials)
+    assert (rep.trials, rep.trials_run) == (3, 3)
+    assert len(calls) == 3
+
+
+def test_no_trial_runs_without_a_matrix(monkeypatch):
+    calls = _counted_system_matrix(monkeypatch)
+    analytic = effective_dim(FatPointSystem(2, 2, (5,)), trials=3, seed=1)
+    empty = effective_dim(FatPointSystem(2, 3, (0, 0)), trials=3, seed=1)
+    assert analytic.trials_run == empty.trials_run == 0
+    assert analytic.trials == empty.trials == 3
+    assert calls == []
+
+
+def test_stopping_early_keeps_the_rank_of_all_trials():
+    """The first trial that reaches the ceiling has the rank every longer
+    run reports, and later trials' draws do not depend on earlier ones."""
+    s = parse_system("L2(6,1^2,2^8)")
+    one = effective_dim(s, trials=1, seed=4)
+    three = effective_dim(s, trials=3, seed=4)
+    assert one.rank == three.rank == 26
+    assert one.trials_run == three.trials_run == 1
+
+
+def _flaky_quadric(monkeypatch, failures):
+    """quadric_through failing `failures` times, then the real one."""
+    calls = []
+    real = interp.quadric_through
+
+    def flaky(points, field):
+        calls.append(points)
+        if len(calls) <= failures:
+            raise DegenerateConfigurationError("planted degenerate configuration")
+        return real(points, field)
+
+    monkeypatch.setattr(interp, "quadric_through", flaky)
+    return calls
+
+
+def test_degenerate_quadric_redraws_the_points(monkeypatch):
+    field = PrimeField(DEFAULT_PRIME)
+    cons = (None,) * 9 + (OnQuadric(through=tuple(range(9))),)
+    rng = np.random.default_rng(31)
+    _draw_points(9, 3, field, rng, None)  # the free points drawn before the quadric fails
+    second = _draw_points(10, 3, field, rng, cons)
+    calls = _flaky_quadric(monkeypatch, failures=1)
+    pts = _draw_points(10, 3, field, np.random.default_rng(31), cons)
+    assert len(calls) == 2
+    assert pts == second
+
+
+def test_degenerate_quadric_raises_after_the_retry_budget(monkeypatch):
+    calls = _flaky_quadric(monkeypatch, failures=10**6)
+    cons = (None,) * 9 + (OnQuadric(through=tuple(range(9))),)
+    with pytest.raises(DegenerateConfigurationError):
+        effective_dim(FatPointSystem(3, 3, (1,) * 10), trials=2, seed=1, constraints=cons)
+    assert len(calls) == interp._DRAW_ATTEMPTS
