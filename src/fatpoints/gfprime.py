@@ -300,6 +300,10 @@ _TRSM_LEAF = 64
 _STRIPE = 1024
 _TILE = 1 << 19  # elements per row tile of a product stripe
 _KEEP_MIN = 1 << 17  # elements from which a kernel keeps a work buffer between calls
+# Elements of the accumulators of one stripe.  Taller updates go in row
+# blocks: the accumulators of a 4200-row elimination's tallest update
+# would otherwise take 155 MB.
+_ACC_MAX = 1 << 23
 
 
 def _condsub(v: np.ndarray, p: int) -> np.ndarray:
@@ -339,6 +343,8 @@ class _Kernel:
         self.p = p
         self.limbs = 1 if (p - 1) ** 2 < 1 << _LIMB_PRODUCT_BITS else 2 if p < 1 << 42 else 3
         self._pairs = [(i, j) for i in range(self.limbs) for j in range(i + 1, self.limbs)]
+        # one accumulator per Karatsuba GEMM, and the scratch of the reduction
+        self._nacc = self.limbs + len(self._pairs) + (p != MERSENNE61) * 2
         self._scratch: dict[str, np.ndarray] = {}
 
     def _buf(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -416,11 +422,10 @@ class _Kernel:
         n = y.shape[1]
         nl = self.limbs
         nprod = nl + len(self._pairs)
-        nacc = nprod + (self.p != MERSENNE61) * 2  # the scratch of the reduction
         for w0 in range(0, n, _STRIPE):
             w1 = min(w0 + _STRIPE, n)
             rows = max(1, _TILE // max(w1 - w0, self.chunk_k))  # bounds x tiles too
-            acc = self._buf("acc", (nacc, m, w1 - w0), np.uint64)
+            acc = self._buf("acc", (self._nacc, m, w1 - w0), np.uint64)
             acc_i64 = acc.view(np.int64)  # float64 -> int64 converts faster than -> uint64
             for k0 in range(0, k, self.chunk_k):
                 k1 = min(k0 + self.chunk_k, k)
@@ -462,19 +467,26 @@ class _Kernel:
         return out
 
     def gemm_sub(self, a, rlo, rhi, pr0, pivcols, clo, chi):
-        """a[rlo:rhi, clo:chi] -= a[rlo:rhi, pivcols] @ a[pr0:pr0+k, clo:chi], in place."""
+        """a[rlo:rhi, clo:chi] -= a[rlo:rhi, pivcols] @ a[pr0:pr0+k, clo:chi], in place.
+
+        The rows go in blocks whose stripe accumulators hold at most _ACC_MAX
+        elements; the limbs of the pivot rows are split again for each block.
+        """
         cols = np.asarray(pivcols, dtype=np.intp)
-        x = self._buf("panel", (rhi - rlo, cols.size), np.uint64)
-        np.take(a[rlo:rhi], cols, axis=1, out=x)
         y = a[pr0 : pr0 + cols.size, clo:chi]
-        block = a[rlo:rhi, clo:chi]
+        step = max(1, _ACC_MAX // (self._nacc * min(chi - clo, _STRIPE)))
         p = np.uint64(self.p)
-        for r0, r1, w0, w1, s, tmp in self._tiles(x, y):
-            np.subtract(p, s, out=s)
-            v = block[r0:r1, w0:w1]
-            v += s
-            np.subtract(v, p, out=tmp)
-            np.minimum(v, tmp, out=v)
+        for b0 in range(rlo, rhi, step):
+            b1 = min(b0 + step, rhi)
+            x = self._buf("panel", (b1 - b0, cols.size), np.uint64)
+            np.take(a[b0:b1], cols, axis=1, out=x)
+            block = a[b0:b1, clo:chi]
+            for r0, r1, w0, w1, s, tmp in self._tiles(x, y):
+                np.subtract(p, s, out=s)
+                v = block[r0:r1, w0:w1]
+                v += s
+                np.subtract(v, p, out=tmp)
+                np.minimum(v, tmp, out=v)
 
     def scale_col(self, a, r1, j, scalar):
         a[r1:, j] = mulmod_vec(a[r1:, j], np.uint64(scalar), self.p)

@@ -551,6 +551,25 @@ def test_kernel_mulmod_vec_matches_integers(p, seed, fill, size):
     assert (got.astype(object) == np.outer(edges.astype(object), edges.astype(object)) % p).all()
 
 
+@pytest.mark.parametrize("p", [1048573, P40, P62, P61])
+@pytest.mark.parametrize("acc_max", [1, 100, 1000])
+def test_kernel_gemm_sub_in_row_blocks(p, acc_max, monkeypatch):
+    """An update taller than _ACC_MAX allows goes in row blocks (of one row
+    when acc_max = 1), crossing chunk and stripe boundaries too."""
+    monkeypatch.setattr(gfprime, "_ACC_MAX", acc_max)
+    monkeypatch.setattr(gfprime, "_STRIPE", 16)
+    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+    rng = np.random.default_rng(acc_max)
+    m, k, n = 37, 20, 50
+    a = _residues_mod(p, rng, (k + m, k + n), "random")
+    pivcols = list(rng.permutation(k))
+    want = (a[k:, k:].astype(object) - _int_matmul_mod(a[k:, pivcols], a[:k, k:], p)) % p
+    top = a[:k].copy()
+    _Kernel(p).gemm_sub(a, k, k + m, 0, pivcols, k, k + n)
+    assert (a[k:, k:].astype(object) == want).all()
+    assert (a[:k] == top).all()
+
+
 @pytest.mark.parametrize("p", [1048573, P40, P62])  # one, two and three limbs
 def test_pivot_trace_at_every_limb_count(p, monkeypatch):
     """The blocked engine with tiny chunk, stripe, tile and trsm sizes, so a
@@ -580,11 +599,12 @@ SPLIT_PRIMES = [101, 1048573, P40, P62]  # one limb (twice), two and three
 
 
 def _shrunk(monkeypatch):
-    """Leaf, trsm, stripe and chunk sizes small enough for a small matrix to
-    cross every boundary and recurse many levels deep."""
+    """Leaf, trsm, stripe, accumulator and chunk sizes small enough for a
+    small matrix to cross every boundary and recurse many levels deep."""
     monkeypatch.setattr(gfprime, "_LEAF_W", 2)
     monkeypatch.setattr(gfprime, "_TRSM_LEAF", 4)
     monkeypatch.setattr(gfprime, "_STRIPE", 16)
+    monkeypatch.setattr(gfprime, "_ACC_MAX", 512)
     monkeypatch.setattr(_Kernel, "chunk_k", 8)
 
 
