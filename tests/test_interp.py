@@ -395,3 +395,44 @@ def test_degenerate_quadric_raises_after_the_retry_budget(monkeypatch):
     with pytest.raises(DegenerateConfigurationError):
         effective_dim(FatPointSystem(3, 3, (1,) * 10), trials=2, seed=1, constraints=cons)
     assert len(calls) == interp._DRAW_ATTEMPTS
+
+
+# quadric_through coefficients for nine points drawn from default_rng(2026),
+# and the first two on_quadric points (with the line count after each) for
+# default_rng(0) and default_rng(5), recorded before the quadric code moved
+# onto _monomial_values.
+QUADRIC_PINS = {
+    101: (
+        [(86, 18, 2), (64, 36, 47), (8, 37, 64), (35, 83, 79), (71, 91, 72),
+         (17, 86, 65), (9, 30, 16), (97, 73, 92), (28, 64, 61)],
+        (1, 54, 90, 58, 77, 34, 22, 87, 66, 53),
+        {0: [((89, 5, 89), 1), ((27, 87, 15), 7)], 5: [((62, 61, 3), 4), ((51, 14, 73), 3)]},
+    ),
+    2**31 - 1: (
+        [(1829338324, 384259585, 56731231), (1374203058, 784857332, 1003451250),
+         (171429433, 795643823, 1381800716), (762179171, 1784690067, 1697625005),
+         (1512746413, 1943781587, 1548783626), (380863078, 1843517862, 1401844688),
+         (211455622, 640600314, 355781144), (2076535512, 1563282231, 1975363177),
+         (606662283, 1365522153, 1297454207)],
+        (1, 389184435, 1411555073, 1624409803, 1672071440, 782101672, 2088904813,
+         991614723, 1559202413, 1944446542),
+        {
+            0: [((1697401048, 518336019, 898887872), 2), ((492724353, 1596208810, 790913863), 4)],
+            5: [((114817631, 305489972, 933647551), 3), ((882610284, 1752850620, 522430971), 1)],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("p", list(QUADRIC_PINS))
+def test_quadric_sampler_is_pinned_at_small_primes(p):
+    pts, coeffs, draws = QUADRIC_PINS[p]
+    field = PrimeField(p)
+    q = quadric_through(pts, field)
+    assert q == coeffs
+    for seed, expected in draws.items():
+        rng = np.random.default_rng(seed)
+        for want, lines in expected:
+            counter: dict = {}
+            assert on_quadric(q, rng, field, counter=counter) == want
+            assert counter["attempts"] == lines
