@@ -49,7 +49,6 @@ from .interp import (
     QuadricSampleError,
     RankReport,
     VirtualBoundError,
-    condition_rows,
     effective_dim,
     fixed_component_test,
     monomial_exponents,
@@ -73,7 +72,6 @@ from .quadricmap import (
     to_planar,
 )
 from .syscore import (
-    DimensionSummary,
     FatPointSystem,
     SystemParseError,
     conditions_at_point,
@@ -81,7 +79,6 @@ from .syscore import (
     format_system,
     parse_system,
     residual,
-    summarize,
     vdim,
 )
 
@@ -91,12 +88,10 @@ __all__ = [
     "__version__",
     # syscore
     "FatPointSystem",
-    "DimensionSummary",
     "SystemParseError",
     "conditions_at_point",
     "vdim",
     "edim_expected",
-    "summarize",
     "residual",
     "parse_system",
     "format_system",
@@ -113,7 +108,6 @@ __all__ = [
     "QuadricSampleError",
     "VirtualBoundError",
     "monomial_exponents",
-    "condition_rows",
     "effective_dim",
     "quadric_through",
     "on_quadric",

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .syscore import SystemParseError, _Scanner
+from .syscore import _Scanner, _compressed
 
 __all__ = [
     "DivisorClass",
@@ -464,35 +464,13 @@ def parse_class(text: str, ambient_dim: int) -> DivisorClass:
     d = sc.integer("degree", allow_negative=True)
     mults: list[int] = []
     if sc.try_take(";"):
-        if sc.peek() != "]":
-            while True:
-                m = sc.integer("multiplicity", allow_negative=True)
-                if sc.try_take("^"):
-                    at = sc.i
-                    count = sc.integer("repeat count")
-                    if count < 1:
-                        raise SystemParseError("repeat count must be >= 1", text, at)
-                    mults.extend([m] * count)
-                else:
-                    mults.append(m)
-                if not sc.try_take(","):
-                    break
-        sc.expect("]")
-    else:
-        sc.expect("]")
+        mults = sc.mult_list("]", allow_negative=True)
+    sc.expect("]")
     sc.end()
     return DivisorClass(ambient_dim, d, tuple(mults))
 
 
 def format_class(dv: DivisorClass) -> str:
-    parts: list[str] = []
-    i = 0
-    while i < len(dv.m):
-        j = i
-        while j < len(dv.m) and dv.m[j] == dv.m[i]:
-            j += 1
-        parts.append(f"{dv.m[i]}^{j - i}" if j - i > 1 else str(dv.m[i]))
-        i = j
-    if parts:
-        return f"[{dv.d};{','.join(parts)}]"
+    if dv.m:
+        return f"[{dv.d};{_compressed(dv.m)}]"
     return f"[{dv.d}]"

@@ -41,11 +41,13 @@ __all__ = ["cli_main", "main"]
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, help="odd prime modulus (> every degree in the run)")
-    common.add_argument("--trials", type=int, help="Monte Carlo trials per rank computation")
-    common.add_argument("--seed", type=int, help="64-bit seed; echoed in reports")
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--config", metavar="FILE", help="key = value config file")
+    # the Monte Carlo commands, special and counterexample, also take these
+    mc = argparse.ArgumentParser(add_help=False, parents=[common])
+    mc.add_argument("--prime", type=int, help="odd prime modulus (> every degree in the run)")
+    mc.add_argument("--trials", type=int, help="Monte Carlo trials per rank computation")
+    mc.add_argument("--seed", type=int, help="64-bit seed; echoed in reports")
+    mc.add_argument("--config", metavar="FILE", help="key = value config file")
 
     p = argparse.ArgumentParser(
         prog="fatpoints",
@@ -58,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("system", help="system literal, e.g. L2(12,3^2,4^8)")
     sp = sub.add_parser("edim", parents=[common], help="expected dimension max(vdim, -1)")
     sp.add_argument("system")
-    sp = sub.add_parser("special", parents=[common], help="Monte Carlo speciality verdict")
+    sp = sub.add_parser("special", parents=[mc], help="Monte Carlo speciality verdict")
     sp.add_argument("system")
     sp = sub.add_parser("restrict", parents=[common], help="restrict a P^3 system to the quadric through its points")
     sp.add_argument("system")
@@ -86,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cremona-reduce", parents=[common], help="standard form of a planar class under quadratic transformations")
     sp.add_argument("cls", metavar="class")
 
-    sub.add_parser("counterexample", parents=[common], help="run the full nine-check verification")
+    sub.add_parser("counterexample", parents=[mc], help="run the full nine-check verification")
     return p
 
 
@@ -181,10 +183,9 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "chow":
-        want = 2 if args.mode == "pair" else 3
-        if len(args.classes) != want:
-            raise ValueError(f"chow {args.mode} needs exactly {want} classes, got {len(args.classes)}")
-        ambient = 2 if args.mode == "pair" else 3
+        ambient = 2 if args.mode == "pair" else 3  # also the number of classes
+        if len(args.classes) != ambient:
+            raise ValueError(f"chow {args.mode} needs exactly {ambient} classes, got {len(args.classes)}")
         classes = [parse_class(t, ambient) for t in args.classes]
         ctx = ChowContext(ambient, classes[0].npoints)
         if args.mode == "pair":

@@ -674,9 +674,6 @@ class PrimeFieldMatrix:
     def entry(self, i: int, j: int) -> int:
         return int(self._a[i, j])
 
-    def transpose(self) -> "PrimeFieldMatrix":
-        return PrimeFieldMatrix.from_residues(self.field, np.ascontiguousarray(self._a.T))
-
     def rank(self) -> int:
         return _rank_with_pivots(self._a, self.field.p)[0]
 
@@ -688,41 +685,55 @@ class PrimeFieldMatrix:
         """Basis of the right kernel, each vector scaled so its first
         nonzero coordinate is 1.
 
-        Gauss-Jordan over Python integers; meant for small systems such
-        as fitting a quadric through nine points, where the kernel vector
-        itself is needed exactly.
+        Gauss-Jordan over Python integers (_gauss_jordan); meant for small
+        systems such as fitting a quadric through nine points, where the
+        kernel vector itself is needed exactly.
         """
         p = self.field.p
         a = self._a.astype(object)
-        m, n = a.shape
-        pivots: list[tuple[int, int]] = []  # (row, col)
-        r = 0
-        for j in range(n):
-            if r == m:
-                break
-            nz = [i for i in range(r, m) if a[i, j] != 0]
-            if not nz:
-                continue
-            if nz[0] != r:
-                a[[r, nz[0]]] = a[[nz[0], r]]
-            inv = pow(int(a[r, j]), -1, p)
-            a[r] = a[r] * inv % p
-            for i in range(m):
-                if i != r and a[i, j] != 0:
-                    a[i] = (a[i] - a[i, j] * a[r]) % p
-            pivots.append((r, j))
-            r += 1
-        pivot_cols = [j for _, j in pivots]
-        free_cols = [j for j in range(n) if j not in pivot_cols]
+        pivots = _gauss_jordan(a, p)
+        n = a.shape[1]
+        free_cols = [j for j in range(n) if j not in pivots]
         basis: list[list[int]] = []
         for fc in free_cols:
             v = [0] * n
             v[fc] = 1
-            for pr, pc in pivots:
-                v[pc] = int(-a[pr, fc] % p)
+            for row, pc in enumerate(pivots):
+                v[pc] = int(-a[row, fc] % p)
             lead = next(x for x in v if x != 0)
             if lead != 1:
                 inv = pow(lead, -1, p)
                 v = [x * inv % p for x in v]
             basis.append(v)
         return basis
+
+
+def _gauss_jordan(a: np.ndarray, p: int) -> list[int]:
+    """Reduce an object array of residues mod p to reduced row echelon form,
+    in place, and return its pivot columns.
+
+    Classical Gauss-Jordan on Python integers, for any p: the leftmost
+    column with a nonzero entry at or below the current row holds the next
+    pivot, taken from the first such row; the pivot row is scaled to 1 and
+    one update over all rows clears the rest of its column.  It shares no
+    code with the blocked engine, so the tests use it as the reference for
+    that engine's pivot traces.
+    """
+    m, n = a.shape
+    pivots: list[int] = []
+    for j in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, j])[0]
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, j:] = a[r, j:] * pow(int(a[r, j]), -1, p) % p
+        f = a[:, j].copy()
+        f[r] = 0
+        # columns left of j are zero in row r, so the update starts at j
+        a[:, j:] = (a[:, j:] - f[:, None] * a[r, j:]) % p
+        pivots.append(j)
+    return pivots

@@ -31,14 +31,12 @@ from .gfprime import DEFAULT_PRIME, PrimeField, PrimeFieldMatrix, mulmod_vec
 from .syscore import FatPointSystem, edim_expected, residual, vdim
 
 __all__ = [
-    "SamplePoint",
     "RankReport",
     "OnQuadric",
     "DegenerateConfigurationError",
     "QuadricSampleError",
     "VirtualBoundError",
     "monomial_exponents",
-    "condition_rows",
     "effective_dim",
     "quadric_through",
     "on_quadric",
@@ -208,20 +206,6 @@ def _condition_blocks(values: np.ndarray, m: int, n: int, d: int, p: int) -> np.
     return mulmod_vec(f, values[:, idx], p)
 
 
-def condition_rows(pt: SamplePoint, m: int, n: int, d: int) -> list[list[int]]:
-    """Rows imposing vanishing to order m at pt on degree-d forms, over the
-    default prime field; coordinates of pt are reduced mod DEFAULT_PRIME.
-
-    Exposed in list form for inspection; the matrix pipeline uses the
-    array-valued builder directly.
-    """
-    if not 1 <= m <= d + 1:
-        raise ValueError(f"need 1 <= m <= d+1, got m={m}, d={d}")
-    p = DEFAULT_PRIME
-    values = _monomial_values([tuple(c % p for c in pt)], n, d, p)
-    return _condition_blocks(values, m, n, d, p)[0].tolist()
-
-
 # Draws of one trial's points before a degenerate configuration is an error.
 _DRAW_ATTEMPTS = 8
 
@@ -361,20 +345,6 @@ def effective_dim(
     )
 
 
-_QUADRIC_EXPS = monomial_exponents(3, 2)  # 10 monomials of degree <= 2
-
-
-def _eval_quadric(q, pt: SamplePoint, p: int) -> int:
-    total = 0
-    for coeff, e in zip(q, _QUADRIC_EXPS):
-        term = coeff
-        for c, ei in zip(pt, e):
-            for _ in range(ei):
-                term = term * c % p
-        total = (total + term) % p
-    return total
-
-
 def quadric_through(points: list[SamplePoint], field: PrimeField) -> tuple[int, ...]:
     """Coefficients of the quadric through nine points of P^3 (affine chart).
 
@@ -383,17 +353,8 @@ def quadric_through(points: list[SamplePoint], field: PrimeField) -> tuple[int, 
     degenerate configuration and the caller should resample.  The vector
     is normalized so its first nonzero coordinate is 1.
     """
-    rows = []
-    for pt in points:
-        row = []
-        for e in _QUADRIC_EXPS:
-            term = 1
-            for c, ei in zip(pt, e):
-                for _ in range(ei):
-                    term = term * c % field.p
-            row.append(term)
-        rows.append(row)
-    kernel = PrimeFieldMatrix(field, rows).nullspace()
+    values = _monomial_values(points, 3, 2, field.p)
+    kernel = PrimeFieldMatrix.from_residues(field, values).nullspace()
     if len(kernel) != 1:
         raise DegenerateConfigurationError(
             f"quadric through {len(points)} points has kernel dimension {len(kernel)}, expected 1"
@@ -418,23 +379,24 @@ def on_quadric(
     records how many lines were tried.
     """
     p = field.p
-    if all(int(c) % p == 0 for c in q):
+    coeffs = np.array([int(c) % p for c in q], dtype=np.uint64)
+    if not coeffs.any():
         raise ValueError("the zero quadric has no well-defined point sampler")
+    quadratic = _exponent_array(3, 2).sum(axis=1) == 2
+
+    def terms(pts):  # coeff_c * pt ** e_c mod p, one row per point, as ints
+        return mulmod_vec(_monomial_values(pts, 3, 2, p), coeffs, p).astype(object)
+
     for attempt in range(1, max_attempts + 1):
         base = tuple(int(x) for x in rng.integers(0, p, size=3, dtype=np.uint64))
         direction = tuple(int(x) for x in rng.integers(0, p, size=3, dtype=np.uint64))
-        # restrict to the line base + t*direction: a t^2 + b t + c
-        a = 0
-        for coeff, e in zip(q, _QUADRIC_EXPS):
-            if sum(e) == 2:
-                term = coeff
-                for dcoord, ei in zip(direction, e):
-                    for _ in range(ei):
-                        term = term * dcoord % p
-                a = (a + term) % p
-        c = _eval_quadric(q, base, p)
         shifted = tuple((bb + dd) % p for bb, dd in zip(base, direction))
-        b = (_eval_quadric(q, shifted, p) - a - c) % p
+        # restrict to the line base + t*direction: a t^2 + b t + c, where a is
+        # the quadratic part at direction, c = q(base) and a + b + c = q(shifted)
+        at_d, at_base, at_shifted = terms([direction, base, shifted])
+        a = at_d[quadratic].sum() % p
+        c = at_base.sum() % p
+        b = (at_shifted.sum() - a - c) % p
         if a == 0:
             continue
         disc = (b * b - 4 * a * c) % p
@@ -447,7 +409,7 @@ def on_quadric(
         pt = tuple((bb + t * dd) % p for bb, dd in zip(base, direction))
         if counter is not None:
             counter["attempts"] = attempt
-        if _eval_quadric(q, pt, p) != 0:
+        if terms([pt]).sum() % p:
             raise ArithmeticError(f"sampled point {pt} is not on the quadric {tuple(q)}")
         return pt
     raise QuadricSampleError(max_attempts)

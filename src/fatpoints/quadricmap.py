@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .syscore import FatPointSystem, SystemParseError, _Scanner, _compressed
+from .syscore import FatPointSystem, _Scanner, _compressed
 
 __all__ = [
     "QuadricSystem",
@@ -90,28 +90,10 @@ def parse_quadric_system(text: str) -> QuadricSystem:
     if sc.try_take(";"):
         m0 = sc.integer("multiplicity at p0")
         if sc.try_take(";"):
-            if sc.peek() != ")":
-                tail = _mult_list_open(sc)
+            tail = sc.mult_list(")")
     sc.expect(")")
     sc.end()
     return QuadricSystem(a, b, m0, tuple(tail))
-
-
-def _mult_list_open(sc: _Scanner) -> list[int]:
-    """Comma-separated nonnegative multiplicities with ^ repetition."""
-    mults: list[int] = []
-    while True:
-        m = sc.integer("multiplicity")
-        if sc.try_take("^"):
-            at = sc.i
-            count = sc.integer("repeat count")
-            if count < 1:
-                raise SystemParseError("repeat count must be >= 1", sc.text, at)
-            mults.extend([m] * count)
-        else:
-            mults.append(m)
-        if not sc.try_take(","):
-            return mults
 
 
 def format_quadric_system(qs: QuadricSystem) -> str:

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 
 __all__ = [
     "FatPointSystem",
-    "DimensionSummary",
     "SystemParseError",
     "vdim",
     "edim_expected",
     "residual",
-    "summarize",
     "parse_system",
     "format_system",
 ]
@@ -88,14 +86,6 @@ class FatPointSystem:
         return format_system(self)
 
 
-@dataclass(frozen=True)
-class DimensionSummary:
-    monomial_count: int
-    condition_count: int
-    vdim: int
-    edim: int
-
-
 def vdim(sys: FatPointSystem) -> int:
     """Virtual dimension: monomials minus conditions minus 1, exact."""
     return sys.monomial_count() - sys.condition_count() - 1
@@ -104,11 +94,6 @@ def vdim(sys: FatPointSystem) -> int:
 def edim_expected(sys: FatPointSystem) -> int:
     """Expected dimension max(vdim, -1); -1 means expected empty."""
     return max(vdim(sys), -1)
-
-
-def summarize(sys: FatPointSystem) -> DimensionSummary:
-    v = vdim(sys)
-    return DimensionSummary(sys.monomial_count(), sys.condition_count(), v, max(v, -1))
 
 
 def residual(sys: FatPointSystem, fixed: FatPointSystem) -> FatPointSystem:
@@ -195,22 +180,36 @@ class _Scanner:
         if self.i < len(self.text):
             raise SystemParseError("unexpected trailing input", self.text, self.i)
 
+    def mult_list(self, closing: str, allow_negative: bool = False, lead: bool = False) -> list[int]:
+        """Multiplicities `m[^count]` separated by commas, up to `closing`,
+        which is left for the caller to take.
 
-def _mult_list(sc: _Scanner, closing: str, allow_negative: bool = False) -> list[int]:
-    """Comma-separated multiplicities with ^ repetition, up to `closing`."""
-    mults: list[int] = []
-    while not sc.try_take(closing):
-        sc.expect(",")
-        m = sc.integer("multiplicity", allow_negative)
-        if sc.try_take("^"):
-            at = sc.i
-            count = sc.integer("repeat count")
-            if count < 1:
-                raise SystemParseError("repeat count must be >= 1", sc.text, at)
-            mults.extend([m] * count)
-        else:
-            mults.append(m)
-    return mults
+        The list may be empty.  With `lead` every item follows a comma, as
+        after the degree in `L3(9,6,4^8)`, and a missing separator is
+        reported as a missing comma; otherwise the items start at once, as
+        in `[2;1,1^8]`, and it is reported as a missing `closing`.
+        """
+        mults: list[int] = []
+        if self.peek() == closing:
+            return mults
+        if lead:
+            self.expect(",")
+        while True:
+            m = self.integer("multiplicity", allow_negative)
+            if self.try_take("^"):
+                at = self.i
+                count = self.integer("repeat count")
+                if count < 1:
+                    raise SystemParseError("repeat count must be >= 1", self.text, at)
+                mults.extend([m] * count)
+            else:
+                mults.append(m)
+            if self.try_take(","):
+                continue
+            if self.peek() == closing:
+                return mults
+            missing = "," if lead else closing
+            raise SystemParseError(f"expected {missing!r}", self.text, self.i)
 
 
 def parse_system(text: str) -> FatPointSystem:
@@ -228,7 +227,8 @@ def parse_system(text: str) -> FatPointSystem:
         raise SystemParseError("ambient dimension must be >= 1", text, sc.i)
     sc.expect("(")
     d = sc.integer("degree")
-    mults = _mult_list(sc, ")")
+    mults = sc.mult_list(")", lead=True)
+    sc.expect(")")
     sc.end()
     return FatPointSystem(n, d, tuple(mults))
 

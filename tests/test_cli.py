@@ -22,6 +22,57 @@ def test_no_arguments_is_a_usage_error():
     assert info.value.code == 2
 
 
+# one valid argument list per subcommand without Monte Carlo settings
+PLAIN_COMMANDS = {
+    "vdim": ["L2(1)"],
+    "edim": ["L2(1)"],
+    "restrict": ["L3(9,6,4^8)"],
+    "toplanar": ["(9,9;6;4^8)"],
+    "chow": ["pair", "[1;1]", "[1;1]"],
+    "rr": ["[7;5,3^8]"],
+    "defect": ["[2;1^9]", "[7;5,3^8]"],
+    "negcurves": ["--bounds", "1,1,0", "--against", "[2;2^2]"],
+    "genus": ["[9;2^2,3^8]"],
+    "cremona-reduce": ["[3;1^9]"],
+}
+MC_FLAGS = [["--prime", "101"], ["--trials", "2"], ["--seed", "3"], ["--config", "run.cfg"]]
+
+
+@pytest.mark.parametrize("command", list(PLAIN_COMMANDS))
+@pytest.mark.parametrize("flag", MC_FLAGS, ids=lambda f: f[0])
+def test_monte_carlo_flags_are_usage_errors_elsewhere(command, flag, capsys):
+    assert cli_main([command] + PLAIN_COMMANDS[command] + ["--json"]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        cli_main([command] + PLAIN_COMMANDS[command] + flag)
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_vdim_rejects_a_seed():
+    with pytest.raises(SystemExit) as info:
+        cli_main(["vdim", "--seed", "3", "L2(1)"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("command", [["special", "L2(2,1)"], ["counterexample"]])
+def test_monte_carlo_commands_take_every_flag(command):
+    flags = [x for flag in MC_FLAGS for x in flag] + ["--json"]
+    args = cli._build_parser().parse_args(command + flags)
+    assert (args.prime, args.trials, args.seed, args.config, args.json) == (
+        101, 2, 3, "run.cfg", True
+    )
+
+
+def test_special_runs_with_every_flag(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("trials = 5\n")
+    argv = ["special", "L2(2,1)", "--prime", "101", "--trials", "1", "--seed", "3"]
+    assert cli_main(argv + ["--config", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["prime"], payload["trials"], payload["seed"]) == (101, 1, 3)
+
+
 def test_vdim_and_edim(capsys):
     assert cli_main(["vdim", "L3(4,2^9)"]) == 0
     assert capsys.readouterr().out == "-2\n"

@@ -15,6 +15,7 @@ from fatpoints.gfprime import (
     MERSENNE61,
     PrimeField,
     PrimeFieldMatrix,
+    _gauss_jordan,
     _Kernel,
     _rank_with_pivots,
     is_prime,
@@ -25,34 +26,6 @@ SMALL_PRIMES = [3, 5, 7, 13, 17, 101, 103, 7681]
 P40 = 2**40 - 87
 P62 = 4611686018427387847  # the largest prime below 2**62
 BACKEND_PRIMES = [101, 2147483629, 4294967311, P40, P62, MERSENNE61]
-
-
-def _elim_rows_object(a, p):
-    """Per-pivot elimination on Python integers; any p, no overflow limits.
-
-    The reference oracle for the pivot traces of the blocked engine.
-    """
-    m, n = a.shape
-    pivs: list[int] = []
-    r = 0
-    for j in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, j])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        if r + 1 < m:
-            inv = pow(int(a[r, j]), -1, p)
-            f = a[r + 1 :, j] * inv % p
-            if j + 1 < n:
-                a[r + 1 :, j + 1 :] = (a[r + 1 :, j + 1 :] - f[:, None] * a[r, j + 1 :]) % p
-            a[r + 1 :, j] = f
-        pivs.append(j)
-        r += 1
-    return pivs
 
 
 def test_primality_known_values():
@@ -190,7 +163,7 @@ def test_blocked_and_reference_eliminations_agree():
         raw[25] = (raw[7] + raw[9]) % np.uint64(p)
         raw[:, 40] = 0
         rank_fast, pivots_fast = _rank_with_pivots(raw.copy(), p)
-        pivots_ref = _elim_rows_object(raw.astype(object), p)
+        pivots_ref = _gauss_jordan(raw.astype(object), p)
         assert rank_fast == len(pivots_ref), p
         assert pivots_fast == pivots_ref, p
 
@@ -381,7 +354,7 @@ def test_pivot_trace_across_chunk_and_stripe_boundaries(monkeypatch):
     raw[60:70] = raw[10:20]
     raw[:, 43] = 0
     rank, pivots = _rank_with_pivots(raw.copy(), P61)
-    assert pivots == _elim_rows_object(raw.astype(object), P61)
+    assert pivots == _gauss_jordan(raw.astype(object), P61)
     assert rank == len(pivots)
 
 
@@ -587,7 +560,7 @@ def test_pivot_trace_at_every_limb_count(p, monkeypatch):
     raw[:, 43] = 0
     raw[:, 50:53] = p - 1
     rank, pivots = _rank_with_pivots(raw.copy(), p)
-    assert pivots == _elim_rows_object(raw.astype(object), p)
+    assert pivots == _gauss_jordan(raw.astype(object), p)
     assert rank == len(pivots)
 
 
@@ -635,7 +608,7 @@ def _ple_calls(monkeypatch):
 
 def _assert_oracle_trace(a, p):
     rank, pivots = _rank_with_pivots(a.copy(), p)
-    assert pivots == _elim_rows_object(a.astype(object), p)
+    assert pivots == _gauss_jordan(a.astype(object), p)
     assert rank == len(pivots)
     return pivots
 

@@ -15,7 +15,6 @@ from fatpoints.interp import (
     QuadricSampleError,
     _draw_points,
     _system_matrix,
-    condition_rows,
     effective_dim,
     fixed_component_test,
     monomial_exponents,
@@ -52,23 +51,22 @@ def test_monomial_exponents_validation():
         monomial_exponents(2, -1)
 
 
-def test_condition_rows_are_iterated_derivatives():
+def test_condition_blocks_are_iterated_derivatives():
     x, y = 5, 11
-    rows = condition_rows((x, y), 2, 2, 2)
+    field = PrimeField(DEFAULT_PRIME)
+    rows = _system_matrix(FatPointSystem(2, 2, (2,)), [(x, y)], field).entries.tolist()
     # columns follow 1, x, y, x^2, xy, y^2; rows follow value, d/dx, d/dy
     assert rows[0] == [1, x, y, x * x, x * y, y * y]
     assert rows[1] == [0, 1, 0, 2 * x, y, 0]
     assert rows[2] == [0, 0, 1, 0, x, 2 * y]
 
 
-def test_condition_rows_shapes_and_validation():
-    rows = condition_rows((3, 5, 7), 3, 3, 4)
-    assert len(rows) == 10
-    assert len(rows[0]) == math.comb(7, 3)
-    with pytest.raises(ValueError):
-        condition_rows((1, 2), 0, 2, 4)
-    with pytest.raises(ValueError):
-        condition_rows((1, 2), 6, 2, 4)
+def test_condition_block_shapes():
+    field = PrimeField(DEFAULT_PRIME)
+    block = _system_matrix(FatPointSystem(3, 4, (3,)), [(3, 5, 7)], field)
+    assert block.shape == (10, math.comb(7, 3))
+    empty = _system_matrix(FatPointSystem(2, 4, (0,)), [(1, 2)], field)
+    assert empty.shape == (0, math.comb(6, 2))
 
 
 def test_univariate_ranks_match_closed_form_sample():

@@ -14,7 +14,6 @@ from fatpoints.syscore import (
     format_system,
     parse_system,
     residual,
-    summarize,
     vdim,
 )
 
@@ -75,14 +74,13 @@ def test_expected_dimension_clamps():
     assert edim_expected(parse_system("L2(2,2^5)")) == -1
 
 
-def test_summary_fields_are_consistent():
+def test_counts_and_dimensions_are_consistent():
     s = parse_system("L2(6,1^2,2^8)")
-    d = summarize(s)
-    assert d.monomial_count == 28
-    assert d.condition_count == 26
-    assert d.vdim == 1
-    assert d.edim == 1
-    assert d.vdim == d.monomial_count - d.condition_count - 1
+    assert s.monomial_count() == 28
+    assert s.condition_count() == 26
+    assert vdim(s) == 1
+    assert edim_expected(s) == 1
+    assert vdim(s) == s.monomial_count() - s.condition_count() - 1
 
 
 def test_parse_format_round_trip():
