@@ -129,9 +129,6 @@ class ChowContext:
     def zero(self) -> DivisorClass:
         return DivisorClass(self.ambient_dim, 0, (0,) * self.r)
 
-    def divisor(self, d: int, m) -> DivisorClass:
-        return DivisorClass(self.ambient_dim, d, tuple(m))
-
 
 def canonical(ctx: ChowContext) -> DivisorClass:
     """K = -(n+1)H + (n-1) sum E_i, stored as (-(n+1); -(n-1), ...)."""
@@ -398,9 +395,7 @@ def derive_search_bounds(dv: DivisorClass) -> EnumBounds:
     )
 
 
-def hh_predict_special(
-    dv: DivisorClass, search_bounds: EnumBounds | None = None
-) -> HHPrediction:
+def hh_predict_special(dv: DivisorClass) -> HHPrediction:
     """Speciality certificate for a planar system with m_i >= 0 by
     (-1)-class reduction.
 
@@ -414,8 +409,8 @@ def hh_predict_special(
     a flagged witness alone would overcount.
 
     Witnesses are the stripped (-1)-classes with pairing <= -2 against
-    the input, merged with the flagged enumeration hits over
-    search_bounds (auto-derived via derive_search_bounds when omitted).
+    the input, merged with the flagged enumeration hits in the box of
+    derive_search_bounds (when dv has at least two points).
     """
     if dv.ambient_dim != 2:
         raise ValueError("the speciality predictor runs on P^2 classes")
@@ -439,10 +434,8 @@ def hh_predict_special(
         w = DivisorClass(2, part.d // magnitude, wm)
         if w not in witnesses:
             witnesses.append(w)
-    if search_bounds is None and dv.npoints >= 2:
-        search_bounds = derive_search_bounds(dv)
-    if search_bounds is not None:
-        for hit in enumerate_neg_curves(search_bounds, dv, -2):
+    if dv.npoints >= 2:
+        for hit in enumerate_neg_curves(derive_search_bounds(dv), dv, -2):
             if hit.flagged and hit.cls not in witnesses:
                 witnesses.append(hit.cls)
     return HHPrediction(

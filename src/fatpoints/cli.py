@@ -34,7 +34,7 @@ from .pipeline import (
     run_counterexample,
 )
 from .quadricmap import format_quadric_system, parse_quadric_system, restrict_to_quadric, to_planar
-from .syscore import SystemParseError, edim_expected, format_system, parse_system, vdim
+from .syscore import edim_expected, format_system, parse_system, vdim
 
 __all__ = ["cli_main", "main"]
 
@@ -309,9 +309,6 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except SystemParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -89,29 +89,11 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a prime field")
         return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.p, e, self.p)
 
     def legendre(self, a: int) -> int:
         """Euler criterion: 1 for nonzero squares, -1 for non-squares, 0 for 0."""

@@ -71,17 +71,6 @@ class FatPointSystem:
     def condition_count(self) -> int:
         return sum(conditions_at_point(m, self.ambient_dim) for m in self.mults)
 
-    def with_point(self, m: int) -> "FatPointSystem":
-        """The same system with one more base point of multiplicity m."""
-        return FatPointSystem(self.ambient_dim, self.degree, self.mults + (m,))
-
-    def sorted_tail(self) -> "FatPointSystem":
-        """Canonical form: first point kept first, rest sorted descending."""
-        if len(self.mults) <= 1:
-            return self
-        tail = tuple(sorted(self.mults[1:], reverse=True))
-        return FatPointSystem(self.ambient_dim, self.degree, self.mults[:1] + tail)
-
     def __str__(self) -> str:
         return format_system(self)
 
@@ -126,6 +115,11 @@ def residual(sys: FatPointSystem, fixed: FatPointSystem) -> FatPointSystem:
             diff = 0
         out.append(diff)
     return FatPointSystem(sys.ambient_dim, sys.degree - fixed.degree, tuple(out), clamped)
+
+
+# Longest multiplicity list a literal may expand to; no rank the engine
+# can compute needs this many base points.
+MAX_MULTS = 10_000
 
 
 class SystemParseError(ValueError):
@@ -187,7 +181,9 @@ class _Scanner:
         The list may be empty.  With `lead` every item follows a comma, as
         after the degree in `L3(9,6,4^8)`, and a missing separator is
         reported as a missing comma; otherwise the items start at once, as
-        in `[2;1,1^8]`, and it is reported as a missing `closing`.
+        in `[2;1,1^8]`, and it is reported as a missing `closing`.  A list
+        is refused before it is expanded past `MAX_MULTS` entries, at the
+        offset of the count (or plain item) that would pass it.
         """
         mults: list[int] = []
         if self.peek() == closing:
@@ -195,15 +191,18 @@ class _Scanner:
         if lead:
             self.expect(",")
         while True:
+            self.skip_ws()
+            at = self.i
             m = self.integer("multiplicity", allow_negative)
+            count = 1
             if self.try_take("^"):
                 at = self.i
                 count = self.integer("repeat count")
                 if count < 1:
                     raise SystemParseError("repeat count must be >= 1", self.text, at)
-                mults.extend([m] * count)
-            else:
-                mults.append(m)
+            if len(mults) + count > MAX_MULTS:
+                raise SystemParseError(f"more than {MAX_MULTS} multiplicities", self.text, at)
+            mults.extend([m] * count)
             if self.try_take(","):
                 continue
             if self.peek() == closing:

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from fatpoints.blowup import DivisorClass, format_class, parse_class
 from fatpoints.quadricmap import QuadricSystem, format_quadric_system, parse_quadric_system
-from fatpoints.syscore import FatPointSystem, SystemParseError, format_system, parse_system
+from fatpoints.syscore import (
+    MAX_MULTS,
+    FatPointSystem,
+    SystemParseError,
+    format_system,
+    parse_system,
+)
 
 PARSERS = {
     "system": parse_system,
@@ -69,6 +75,18 @@ PARSE_ERRORS = [
     ("quadric", "(3,3;0;1;2)", 8, "expected ')'"),
     ("quadric", "(3,3;)", 5, "expected multiplicity at p0"),
     ("quadric", "(3,3;0; 1 ^ 0 )", 11, "repeat count must be >= 1"),
+    # lists longer than MAX_MULTS are refused before they are expanded
+    ("system", "L2(3,1^10001)", 7, "more than 10000 multiplicities"),
+    ("system", "L2(3,1^3000000)", 7, "more than 10000 multiplicities"),
+    ("system", "L2(3,1^9999,1,2)", 14, "more than 10000 multiplicities"),
+    ("system", "L2(3,1^9999, 1, 2)", 16, "more than 10000 multiplicities"),
+    ("system", "L2(3,2^5000, 1^5001)", 15, "more than 10000 multiplicities"),
+    ("class", "[3;1^10001]", 5, "more than 10000 multiplicities"),
+    ("class", "[3;-1^5000,-2^5001]", 14, "more than 10000 multiplicities"),
+    ("class", "[3;1^10000,0]", 11, "more than 10000 multiplicities"),
+    ("quadric", "(3,3;0;1^10001)", 9, "more than 10000 multiplicities"),
+    ("quadric", "(3,3;0;1^10000,2)", 15, "more than 10000 multiplicities"),
+    ("quadric", "(3,3;0;1^99999999999999999999)", 9, "more than 10000 multiplicities"),
 ]
 
 
@@ -87,6 +105,13 @@ def test_empty_lists_parse_where_the_grammar_allows_them():
     assert parse_class("[3;-1^2,-2]", 2) == DivisorClass(2, 3, (-1, -1, -2))
     assert parse_quadric_system("(3,3;0;)") == QuadricSystem(3, 3, 0, ())
     assert parse_system("L3(9)") == FatPointSystem(3, 9, ())
+
+
+def test_lists_of_max_mults_entries_parse():
+    assert MAX_MULTS == 10_000
+    assert parse_system("L2(3,1^9999,2)").mults == (1,) * 9999 + (2,)
+    assert parse_class("[3;-1^10000]", 2).m == (-1,) * MAX_MULTS
+    assert parse_quadric_system("(3,3;0;2^5000,1^5000)").tail == (2,) * 5000 + (1,) * 5000
 
 
 # short runs of few distinct values, so the run-length form has repeats

@@ -7,7 +7,9 @@ import json
 
 import pytest
 
+from fatpoints import interp, pipeline
 from fatpoints.gfprime import DEFAULT_PRIME
+from fatpoints.interp import OnQuadric, effective_dim, fixed_component_test
 from fatpoints.pipeline import (
     CheckResult,
     CounterexampleReport,
@@ -19,6 +21,7 @@ from fatpoints.pipeline import (
     resolve_config,
     run_counterexample,
 )
+from fatpoints.syscore import FatPointSystem, parse_system, residual
 
 EXPECTED_CHECK_IDS = [
     "virtual-dimensions",
@@ -74,6 +77,69 @@ def test_report_is_deterministic_and_round_trips():
 def test_pipeline_passes_at_a_small_prime():
     report = run_counterexample(RunConfig(prime=101, trials=4, seed=7))
     assert report.verdict is True
+
+
+def test_each_system_is_ranked_once(monkeypatch):
+    keys = []
+
+    def counted(rank):
+        def call(sys, *, constraints=None, **mc):
+            keys.append((sys, constraints))
+            return rank(sys, constraints=constraints, **mc)
+
+        return call
+
+    # both names, so a rank that bypasses the pipeline's global is counted too
+    monkeypatch.setattr(pipeline, "effective_dim", counted(pipeline.effective_dim))
+    monkeypatch.setattr(interp, "effective_dim", counted(interp.effective_dim))
+    assert run_counterexample(RunConfig(seed=7)).verdict is True
+    assert len(keys) == 9
+    assert len(set(keys)) == 9
+
+
+_ON_Q = OnQuadric(through=tuple(range(9)))
+# (check id, system, fixed quadric, constraints) of the three peels
+_PEELS = [
+    (
+        "quadric-fixed-component",
+        parse_system("L3(9,6,4^8)"),
+        parse_system("L3(2,1,1^8)"),
+        None,
+    ),
+    (
+        "first-contact-peel",
+        FatPointSystem(3, 7, (5,) + (3,) * 8 + (1,)),
+        FatPointSystem(3, 2, (1,) * 10),
+        (None,) * 9 + (_ON_Q,),
+    ),
+    (
+        "second-contact-peel",
+        FatPointSystem(3, 5, (4,) + (2,) * 8 + (1, 1)),
+        FatPointSystem(3, 2, (1,) * 11),
+        (None,) * 9 + (_ON_Q, _ON_Q),
+    ),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_peels_agree_with_the_public_oracle(seed):
+    """The pipeline reads a fixed component from the h0 of a peel pair;
+    that must stay the verdict of `fixed_component_test` on the same draws."""
+    mc = dict(trials=3, seed=seed, prime=DEFAULT_PRIME)
+    report = run_counterexample(RunConfig(**mc))
+    observed = {c.check_id: c.observed for c in report.checks}
+    for check_id, sys, fixed, constraints in _PEELS:
+        got = observed[check_id]
+        assert got["quadric_fixed"] == fixed_component_test(
+            sys, fixed, constraints=constraints, **mc
+        )
+        if "residual_h0" in got:
+            rest = effective_dim(residual(sys, fixed), constraints=constraints, **mc)
+            assert got["residual_h0"] == rest.h0
+    assert observed["residual-dimension-chain"] == [
+        effective_dim(parse_system(lit), **mc).edim_actual
+        for lit in ("L3(7,5,3^8)", "L3(5,4,2^8)", "L3(3,3,1^8)")
+    ]
 
 
 def test_text_rendering_covers_every_check():

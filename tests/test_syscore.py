@@ -176,14 +176,6 @@ def test_residual_pads_system_side_too():
     assert same.degree == 0 and set(same.mults) == {0} and not same.clamped
 
 
-def test_with_point_and_sorted_tail():
-    s = parse_system("L3(7,5,3^8)")
-    s10 = s.with_point(1)
-    assert s10.mults == (5,) + (3,) * 8 + (1,)
-    shuffled = FatPointSystem(2, 9, (2, 4, 3, 3, 4))
-    assert shuffled.sorted_tail().mults == (2, 4, 4, 3, 3)
-
-
 def test_negative_multiplicities_flagged_not_rejected():
     s = FatPointSystem(2, 4, (-1, 2, 1))
     assert s.has_negative
