@@ -42,7 +42,14 @@ from .blowup import (
     vdim_planar,
     vdim_rr,
 )
-from .gfprime import DEFAULT_PRIME, MERSENNE61, PrimeField, PrimeFieldMatrix, is_prime
+from .gfprime import (
+    DEFAULT_PRIME,
+    MERSENNE61,
+    ConsumedMatrixError,
+    PrimeField,
+    PrimeFieldMatrix,
+    is_prime,
+)
 from .interp import (
     DegenerateConfigurationError,
     OnQuadric,
@@ -101,6 +108,7 @@ __all__ = [
     "is_prime",
     "PrimeField",
     "PrimeFieldMatrix",
+    "ConsumedMatrixError",
     # interp
     "RankReport",
     "OnQuadric",

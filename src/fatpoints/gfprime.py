@@ -32,6 +32,7 @@ import numpy as np
 __all__ = [
     "MERSENNE61",
     "DEFAULT_PRIME",
+    "ConsumedMatrixError",
     "PrimeField",
     "PrimeFieldMatrix",
     "is_prime",
@@ -453,15 +454,23 @@ class _Kernel:
 
         The rows go in blocks whose stripe accumulators hold at most _ACC_MAX
         elements; the limbs of the pivot rows are split again for each block.
+        Pivot columns that form one run of adjacent columns are read in
+        place; others are gathered into a work buffer.  The pivot columns
+        lie outside [clo, chi), so the read never overlaps the update.
         """
         cols = np.asarray(pivcols, dtype=np.intp)
-        y = a[pr0 : pr0 + cols.size, clo:chi]
+        k = cols.size
+        run = bool((np.diff(cols) == 1).all())  # the ends alone would pass a shuffled run
+        y = a[pr0 : pr0 + k, clo:chi]
         step = max(1, _ACC_MAX // (self._nacc * min(chi - clo, _STRIPE)))
         p = np.uint64(self.p)
         for b0 in range(rlo, rhi, step):
             b1 = min(b0 + step, rhi)
-            x = self._buf("panel", (b1 - b0, cols.size), np.uint64)
-            np.take(a[b0:b1], cols, axis=1, out=x)
+            if run:
+                x = a[b0:b1, cols[0] : cols[0] + k]
+            else:
+                x = self._buf("panel", (b1 - b0, k), np.uint64)
+                np.take(a[b0:b1], cols, axis=1, out=x)
             block = a[b0:b1, clo:chi]
             for r0, r1, w0, w1, s, tmp in self._tiles(x, y):
                 np.subtract(p, s, out=s)
@@ -596,72 +605,121 @@ def _ple(a, kern, r0, c0, c1, pivs):
 
 
 def _rank_with_pivots(a: np.ndarray, p: int) -> tuple[int, list[int]]:
-    """Rank and pivot-column trace of a reduced uint64 matrix mod p."""
+    """Rank and pivot-column trace of a reduced uint64 matrix mod p.
+
+    The elimination runs in place: a is left partly eliminated, so the
+    caller passes an array it owns and reads nothing from it afterwards.
+    """
     m, n = a.shape
     if m == 0 or n == 0:
         return 0, []
     pivs: list[int] = []
-    _ple(a.copy(), _Kernel(p), 0, 0, n, pivs)
+    _ple(a, _Kernel(p), 0, 0, n, pivs)
     return len(pivs), pivs
+
+
+class ConsumedMatrixError(RuntimeError):
+    """A read of a matrix whose entries a rank computation has eliminated
+    in place."""
 
 
 class PrimeFieldMatrix:
     """Dense matrix over F_p with exact rank and kernel computations.
 
-    Entries are kept as reduced residues in a uint64 array.  rank() works
-    on a scratch copy, so a matrix can be shared between threads as long
-    as nobody mutates it through the constructor argument.
+    Entries are kept as reduced residues in a uint64 array.  rank() and
+    pivot_columns() eliminate a scratch copy and never write to the
+    entries, so a matrix can be shared between threads as long as nobody
+    mutates the array it wraps.
+
+    The one exception is a matrix made by _consumable, which the rank
+    oracle builds for a single trial: its first rank() or pivot_columns()
+    eliminates the wrapped array in place, without the copy, and from
+    then on every read of its data (entries, entry, rank, pivot_columns,
+    nullspace) raises ConsumedMatrixError.  rows, cols and shape keep
+    working.
     """
 
-    __slots__ = ("field", "_a")
+    __slots__ = ("field", "_a", "_shape", "_in_place")
 
     def __init__(self, field: PrimeField, entries):
-        self.field = field
         arr = np.asarray(entries)
         if arr.ndim != 2:
             raise ValueError(f"matrix entries must be 2-dimensional, got shape {arr.shape}")
         if arr.dtype == np.uint64:
-            self._a = arr % np.uint64(field.p)
-        elif arr.dtype.kind in "iu" and field.p < 1 << 62:
-            self._a = (arr.astype(object) % field.p).astype(np.uint64)
+            arr = arr % np.uint64(field.p)
+        elif arr.dtype.kind in "iu":  # every other integer dtype fits int64, as does p
+            arr = np.remainder(arr, np.int64(field.p), dtype=np.int64).astype(np.uint64)
         else:
-            self._a = (np.array(entries, dtype=object).reshape(arr.shape) % field.p).astype(
-                np.uint64
-            )
+            arr = (np.array(entries, dtype=object).reshape(arr.shape) % field.p).astype(np.uint64)
+        self._wrap(field, arr, in_place=False)
+
+    def _wrap(self, field: PrimeField, arr: np.ndarray, in_place: bool) -> None:
+        self.field = field
+        self._a = arr  # None once an in-place rank has spent it
+        self._shape = arr.shape
+        self._in_place = in_place
 
     @classmethod
     def from_residues(cls, field: PrimeField, arr: np.ndarray) -> "PrimeFieldMatrix":
-        """Wrap an already-reduced uint64 array without copying or checking."""
+        """Wrap an already-reduced uint64 array without copying or checking.
+
+        The matrix shares arr with the caller: writes to arr show in the
+        matrix, but rank() and pivot_columns() never write to arr.
+        """
         self = cls.__new__(cls)
-        self.field = field
-        self._a = arr
+        self._wrap(field, arr, in_place=False)
         return self
+
+    @classmethod
+    def _consumable(cls, field: PrimeField, arr: np.ndarray) -> "PrimeFieldMatrix":
+        """Wrap a reduced uint64 array that nothing else reads: the first
+        rank() or pivot_columns() eliminates it in place and spends the
+        matrix."""
+        self = cls.__new__(cls)
+        self._wrap(field, arr, in_place=True)
+        return self
+
+    def _data(self) -> np.ndarray:
+        if self._a is None:
+            raise ConsumedMatrixError(
+                f"the entries of this {self.rows} x {self.cols} matrix were eliminated "
+                "in place by its rank computation"
+            )
+        return self._a
 
     @property
     def rows(self) -> int:
-        return self._a.shape[0]
+        return self._shape[0]
 
     @property
     def cols(self) -> int:
-        return self._a.shape[1]
+        return self._shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._a.shape
+        return self._shape
 
     @property
     def entries(self) -> np.ndarray:
-        return self._a.copy()
+        return self._data().copy()
 
     def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
+        return int(self._data()[i, j])
+
+    def _eliminate(self) -> tuple[int, list[int]]:
+        a = self._data()
+        if self._in_place:
+            self._a = None
+        else:
+            a = a.copy()
+        return _rank_with_pivots(a, self.field.p)
 
     def rank(self) -> int:
-        return _rank_with_pivots(self._a, self.field.p)[0]
+        return self._eliminate()[0]
 
     def pivot_columns(self) -> list[int]:
         """Pivot columns of the echelon form (deterministic elimination order)."""
-        return _rank_with_pivots(self._a, self.field.p)[1]
+        return self._eliminate()[1]
 
     def nullspace(self) -> list[list[int]]:
         """Basis of the right kernel, each vector scaled so its first
@@ -672,7 +730,7 @@ class PrimeFieldMatrix:
         kernel vector itself is needed exactly.
         """
         p = self.field.p
-        a = self._a.astype(object)
+        a = self._data().astype(object)
         pivots = _gauss_jordan(a, p)
         n = a.shape[1]
         free_cols = [j for j in range(n) if j not in pivots]

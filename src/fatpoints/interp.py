@@ -254,7 +254,10 @@ def _system_matrix(
     sys: FatPointSystem, pts: list[SamplePoint], field: PrimeField
 ) -> PrimeFieldMatrix:
     """The stacked condition matrix: one block per point with multiplicity
-    >= 1, in point order.  Points of equal multiplicity are built together."""
+    >= 1, in point order.  Points of equal multiplicity are built together.
+
+    The matrix belongs to one trial, so its rank() eliminates it in place
+    and spends it (see PrimeFieldMatrix._consumable)."""
     n, d, p = sys.ambient_dim, sys.degree, field.p
     heights = [math.comb(m - 1 + n, n) if m >= 1 else 0 for m in sys.mults]
     starts = np.cumsum([0] + heights)
@@ -267,7 +270,7 @@ def _system_matrix(
             group = members[g0 : g0 + per_call]
             rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in group])
             out[rows] = _condition_blocks(values[group], m, n, d, p).reshape(rows.size, -1)
-    return PrimeFieldMatrix.from_residues(field, out)
+    return PrimeFieldMatrix._consumable(field, out)
 
 
 def effective_dim(

@@ -196,6 +196,7 @@ class _Scanner:
             m = self.integer("multiplicity", allow_negative)
             count = 1
             if self.try_take("^"):
+                self.skip_ws()
                 at = self.i
                 count = self.integer("repeat count")
                 if count < 1:

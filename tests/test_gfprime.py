@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fatpoints import gfprime
 from fatpoints.gfprime import (
@@ -674,3 +675,176 @@ def test_pivot_trace_of_planted_profiles_matches_the_oracle(case):
         pivots = _assert_oracle_trace(a, p)
     # a random left factor can be rank deficient, with probability about r / p
     assert pivots == profile or p == 101
+
+
+# ---------------------------------------------------------------------------
+# Multiplier panels: a run of adjacent pivot columns is read in place, any
+# other set of pivot columns is gathered.
+
+PANEL_PRIMES = [1048573, P40, P62, P61]  # one, two and three limbs, and 2**61 - 1
+
+
+def _panels(monkeypatch):
+    """For every gemm_sub call, one entry per row block: True when the
+    block's multiplier panel is a view of the matrix, False when gathered."""
+    calls = []
+    active = []
+    gemm_sub, tiles = _Kernel.gemm_sub, _Kernel._tiles
+
+    def recorded(self, a, *args):
+        calls.append([])
+        active.append(a)
+        try:
+            gemm_sub(self, a, *args)
+        finally:
+            active.pop()
+
+    def traced(self, x, y):
+        if active:
+            calls[-1].append(np.may_share_memory(x, active[-1]))
+        return tiles(self, x, y)
+
+    monkeypatch.setattr(_Kernel, "gemm_sub", recorded)
+    monkeypatch.setattr(_Kernel, "_tiles", traced)
+    return calls
+
+
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+@pytest.mark.parametrize("acc_max", [1, 512])
+@pytest.mark.parametrize(
+    "pivcols",
+    [list(range(3, 23)), [3, 5, 4] + list(range(6, 23)), [7]],
+    ids=["run", "ends-of-a-run-out-of-order", "single"],
+)
+def test_kernel_gemm_sub_reads_a_run_of_pivot_columns_in_place(p, acc_max, pivcols, monkeypatch):
+    """Pivot columns 3-22 are one run and are read in place, in row blocks;
+    the same columns with 4 and 5 swapped have ends k - 1 apart but are no
+    run, so they are gathered.  Either way the update matches integers and
+    writes nothing outside its block."""
+    monkeypatch.setattr(gfprime, "_ACC_MAX", acc_max)
+    monkeypatch.setattr(gfprime, "_STRIPE", 16)
+    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+    rng = np.random.default_rng(acc_max + len(pivcols))
+    k, m, n = len(pivcols), 37, 30
+    a = _residues_mod(p, rng, (k + m, 23 + n), "random")
+    want = (a[k:, 23:].astype(object) - _int_matmul_mod(a[k:, pivcols], a[:k, 23:], p)) % p
+    before = a.copy()
+    calls = _panels(monkeypatch)
+    _Kernel(p).gemm_sub(a, k, k + m, 0, pivcols, 23, 23 + n)
+    assert (a[k:, 23:].astype(object) == want).all()
+    changed = a != before
+    changed[k:, 23:] = False
+    assert not changed.any()
+    in_place = pivcols == list(range(pivcols[0], pivcols[0] + k))
+    assert calls == [[in_place] * len(calls[0])]
+    assert len(calls[0]) > 1  # 37 rows exceed a row block at either bound
+
+
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+def test_adjacent_pivot_columns_are_read_in_place_across_row_blocks(p, monkeypatch):
+    """60 x 90 of rank 40 with its pivots in columns 20-59: every update
+    reads its multipliers as a view of the matrix, and with the shrunk
+    accumulator bound the tall updates go in several row blocks."""
+    _shrunk(monkeypatch)
+    profile = list(range(20, 60))
+    a = _planted(np.random.default_rng(p % 983), p, 60, 90, profile)
+    calls = _panels(monkeypatch)
+    assert _assert_oracle_trace(a, p) == profile
+    assert calls and all(all(blocks) for blocks in calls)
+    assert max(len(blocks) for blocks in calls) > 1
+
+
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+def test_dependent_leading_columns_still_gather_the_panel(p, monkeypatch):
+    """60 x 90 whose columns 1-7 depend on column 0: an update whose pivots
+    include column 0 and columns from 8 on gathers its multipliers, and
+    updates inside the run 8-48 read them in place."""
+    _shrunk(monkeypatch)
+    profile = [0] + list(range(8, 48))
+    a = _planted(np.random.default_rng(p % 977), p, 60, 90, profile)
+    calls = _panels(monkeypatch)
+    assert _assert_oracle_trace(a, p) == profile
+    panels = [read for blocks in calls for read in blocks]
+    assert False in panels and True in panels
+
+
+# ---------------------------------------------------------------------------
+# Ownership: public matrices are never written by rank(), pivot_columns()
+# or nullspace().
+
+
+@pytest.mark.parametrize("p", [1048573, P40, P61])
+@pytest.mark.parametrize("wrap", ["constructor", "from_residues"])
+def test_rank_pivot_columns_and_nullspace_leave_the_entries_alone(p, wrap, monkeypatch):
+    """A 40 x 70 matrix of rank 26 with dependent leading columns, so the
+    elimination runs leaves, triangular solves and both panel paths: the
+    wrapped array and `entries` stay byte-identical, and repeated calls
+    agree."""
+    _shrunk(monkeypatch)
+    field = PrimeField(p)
+    profile = [0] + list(range(8, 30)) + [40, 41, 60]
+    arr = _planted(np.random.default_rng(p % 971), p, 40, 70, profile)
+    before = arr.tobytes()
+    if wrap == "constructor":
+        mat = PrimeFieldMatrix(field, arr)
+    else:
+        mat = PrimeFieldMatrix.from_residues(field, arr)
+    kernel = mat.nullspace()
+    for _ in range(2):
+        assert mat.pivot_columns() == profile
+        assert mat.entries.tobytes() == before
+        assert mat.rank() == len(profile)
+        assert mat.entries.tobytes() == before
+        assert mat.nullspace() == kernel
+        assert mat.entries.tobytes() == before
+    assert len(kernel) == 70 - len(profile)
+    assert arr.tobytes() == before
+    assert mat.entry(39, 69) == int(arr[39, 69])
+
+
+def test_entries_is_a_copy():
+    arr = np.array([[1, 2], [3, 4]], dtype=np.uint64)
+    mat = PrimeFieldMatrix.from_residues(PrimeField(13), arr)
+    mat.entries[0, 0] = 5
+    assert mat.entry(0, 0) == 1
+
+
+# ---------------------------------------------------------------------------
+# The constructor reduces integer arrays in int64, like Python integers.
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+REDUCE_PRIMES = [3, 101] + KERNEL_PRIMES
+
+
+def _reduced_by_objects(arr, p):
+    return [[int(v) % p for v in row] for row in arr.tolist()]
+
+
+@pytest.mark.parametrize("dtype", INT_DTYPES)
+@pytest.mark.parametrize("p", REDUCE_PRIMES)
+def test_integer_dtype_extremes_reduce_like_python_integers(dtype, p):
+    info = np.iinfo(dtype)
+    rows = [
+        [info.min, info.max, 0],
+        [info.min + 1, info.max - 1, 1],
+        [info.max // 2, p % (info.max + 1), 0],
+    ]
+    arr = np.array(rows, dtype=dtype)
+    got = PrimeFieldMatrix(PrimeField(p), arr).entries
+    assert got.dtype == np.uint64
+    assert got.tolist() == _reduced_by_objects(arr, p)
+
+
+@given(
+    data=st.data(),
+    dtype=st.sampled_from(INT_DTYPES),
+    p=st.sampled_from(REDUCE_PRIMES),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_arrays_reduce_like_python_integers(data, dtype, p):
+    shape = hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6)
+    arr = data.draw(hnp.arrays(dtype, shape))
+    got = PrimeFieldMatrix(PrimeField(p), arr).entries
+    assert got.dtype == np.uint64
+    assert got.shape == arr.shape
+    assert got.tolist() == _reduced_by_objects(arr, p)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fatpoints import interp
-from fatpoints.gfprime import DEFAULT_PRIME, PrimeField
+from fatpoints.gfprime import DEFAULT_PRIME, ConsumedMatrixError, PrimeField, PrimeFieldMatrix
 from fatpoints.interp import (
     DegenerateConfigurationError,
     OnQuadric,
@@ -434,3 +434,64 @@ def test_quadric_sampler_is_pinned_at_small_primes(p):
             counter: dict = {}
             assert on_quadric(q, rng, field, counter=counter) == want
             assert counter["attempts"] == lines
+
+
+# ---------------------------------------------------------------------------
+# A trial's condition matrix is eliminated where it was built.
+
+_SPENT_READS = {
+    "entries": lambda m: m.entries,
+    "entry": lambda m: m.entry(0, 0),
+    "rank": lambda m: m.rank(),
+    "pivot_columns": lambda m: m.pivot_columns(),
+    "nullspace": lambda m: m.nullspace(),
+}
+
+
+@pytest.mark.parametrize("consume", ["rank", "pivot_columns"])
+def test_a_trial_matrix_is_spent_by_its_rank(consume):
+    """The rank of a built matrix equals that of a public copy; afterwards
+    every read of its data raises, and its shape still reads."""
+    field = PrimeField(DEFAULT_PRIME)
+    sys = FatPointSystem(3, 6, (3, 3, 2, 2, 2, 1))
+    pts = _draw_points(sys.npoints, 3, field, np.random.default_rng(3), None)
+    built = _system_matrix(sys, pts, field)
+    public = PrimeFieldMatrix(field, built.entries)
+    assert getattr(built, consume)() == getattr(public, consume)()
+    shape = (sys.condition_count(), sys.monomial_count())
+    for name, read in _SPENT_READS.items():
+        with pytest.raises(ConsumedMatrixError, match="eliminated in place"):
+            read(built)
+        assert (built.rows, built.cols) == built.shape == shape, name
+
+
+def test_effective_dim_spends_each_trial_matrix_through_rank(monkeypatch):
+    """effective_dim reaches each trial's rank through PrimeFieldMatrix.rank,
+    and the matrix reports its rows, columns and field after the call, as
+    a wrapper around that method reads them."""
+    seen = []
+    inner = PrimeFieldMatrix.rank
+
+    def recorded(self):
+        out = inner(self)
+        seen.append((self, self.rows, self.cols, self.field.p, out))
+        return out
+
+    monkeypatch.setattr(PrimeFieldMatrix, "rank", recorded)
+    rep = effective_dim(parse_system("L2(4,2^5)"), trials=3, seed=5)
+    assert [(m, n, p, r) for _, m, n, p, r in seen] == [(15, 15, DEFAULT_PRIME, 14)] * 3
+    for mat, *_ in seen:
+        with pytest.raises(ConsumedMatrixError):
+            mat.entries
+    assert rep.rank == 14
+
+
+def test_criterion_8_matrix_pivots_are_its_first_4200_columns():
+    """The first trial of the criterion-8 rank, L3(30,5^120) at seed 20248:
+    its 4200 x 5456 matrix has pivots exactly in columns 0-4199, so every
+    update of its elimination reads its multipliers in place."""
+    sys = FatPointSystem(3, 30, (5,) * 120)
+    field = PrimeField(DEFAULT_PRIME)
+    child = np.random.SeedSequence(20248).spawn(1)[0]
+    pts = _draw_points(sys.npoints, 3, field, np.random.default_rng(child), None)
+    assert _system_matrix(sys, pts, field).pivot_columns() == list(range(4200))

@@ -42,7 +42,7 @@ PARSE_ERRORS = [
     ("system", "L3()", 3, "expected degree"),
     ("system", "L3(9;6)", 4, "expected ','"),
     ("system", "L3(9,,6)", 5, "expected multiplicity"),
-    ("system", "L3( 9 , 6 ^ 0 )", 11, "repeat count must be >= 1"),
+    ("system", "L3( 9 , 6 ^ 0 )", 12, "repeat count must be >= 1"),
     ("system", "L0(9)", 2, "ambient dimension must be >= 1"),
     ("system", "L3(9", 4, "expected ','"),
     ("system", "L3(9 x", 5, "expected ','"),
@@ -58,7 +58,7 @@ PARSE_ERRORS = [
     ("class", "[3;--1]", 3, "expected multiplicity"),
     ("class", "3;1]", 0, "expected '['"),
     ("class", "[3;1;2]", 4, "expected ']'"),
-    ("class", "[ 3 ; 1 ^ 0 ]", 9, "repeat count must be >= 1"),
+    ("class", "[ 3 ; 1 ^ 0 ]", 10, "repeat count must be >= 1"),
     ("class", "[3", 2, "expected ']'"),
     ("class", "[]", 1, "expected degree"),
     ("quadric", "(3,3;0;1,)", 9, "expected multiplicity"),
@@ -74,7 +74,7 @@ PARSE_ERRORS = [
     ("quadric", "(3,3,0)", 4, "expected ')'"),
     ("quadric", "(3,3;0;1;2)", 8, "expected ')'"),
     ("quadric", "(3,3;)", 5, "expected multiplicity at p0"),
-    ("quadric", "(3,3;0; 1 ^ 0 )", 11, "repeat count must be >= 1"),
+    ("quadric", "(3,3;0; 1 ^ 0 )", 12, "repeat count must be >= 1"),
     # lists longer than MAX_MULTS are refused before they are expanded
     ("system", "L2(3,1^10001)", 7, "more than 10000 multiplicities"),
     ("system", "L2(3,1^3000000)", 7, "more than 10000 multiplicities"),
