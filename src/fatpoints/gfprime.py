@@ -11,7 +11,14 @@ Column panels are split in half down to a small leaf width (a panel wider
 than the rows left is cut no further left than where it could give every
 row a pivot), and the elimination stops once every row has a pivot;
 pivoting inside a leaf is classical row elimination, while cross-panel
-updates are delayed and applied as matrix products.  One kernel,
+updates are delayed and applied as matrix products.  Before its rows update
+the rest, a block of pivot rows is brought up to date by a triangular solve
+with its unit-lower multipliers.  Each recursion node returns its pivot
+block with the inverse of those multipliers: a leaf builds it by forward
+substitution, and a node joins its children's inverses with two products
+while the block holds at most _TRSM_LEAF pivots, so the solve applies it in
+one product; a larger block keeps its children, and the solve walks them
+along the elimination's own splits.  One kernel,
 parameterised by p, serves every prime: operands are split into 1, 2 or 3
 limbs of 21 bits, as few as keep the limb products exact in a float64
 GEMM, so the products go through BLAS.  The exact limb products of every
@@ -279,6 +286,9 @@ def mulmod_vec(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 # Blocked elimination.
 
 _LEAF_W = 8
+# Most pivots of a block that carries the inverse of its multipliers.  A
+# join costs two products of the block's size, so inverses carried further
+# up would cost O(k**3) for k pivots; above the cap a solve recurses instead.
 _TRSM_LEAF = 64
 _STRIPE = 1024
 _TILE = 1 << 19  # elements per row tile of a product stripe
@@ -491,14 +501,19 @@ class _Kernel:
 
 
 def _ple_leaf(a, kern, r0, c0, c1, pivs):
-    """Classical elimination of columns [c0, c1) from row r0 down.
+    """Classical elimination of columns [c0, c1) from row r0 down; returns
+    the leaf's pivot block (see _ple).
 
     The columns are worked on in a contiguous copy, so the per-pivot column
-    updates stay in cache; row swaps also go to the full rows of a.
+    updates stay in cache; row swaps also go to the full rows of a.  The
+    inverse of the unit-lower multipliers of the r <= c1 - c0 pivot rows is
+    built by forward substitution over Python integers:
+    row t of L^-1 is e_t - sum over s < t of L[t, s] * (row s of L^-1).
     """
     panel = a[r0:, c0:c1].copy()
     m, w = panel.shape
     r = 0
+    cols = []
     for j in range(w):
         if r == m:
             break
@@ -515,57 +530,73 @@ def _ple_leaf(a, kern, r0, c0, c1, pivs):
             if j + 1 < w:
                 kern.outer_sub(panel, r + 1, j + 1, w, panel[r + 1 :, j], panel[r, j + 1 :])
         pivs.append(c0 + j)
+        cols.append(j)
         r += 1
     a[r0:, c0:c1] = panel
+    if not r:
+        return None
+    low = panel[:r, cols].tolist()
+    inv: list[list[int]] = []
+    for t in range(r):
+        row = [0] * r
+        row[t] = 1
+        for s in range(t):
+            f = low[t][s]
+            if f:
+                for u in range(s + 1):
+                    row[u] -= f * inv[s][u]
+        inv.append([v % kern.p for v in row])
+    return np.array(inv, dtype=np.uint64)
 
 
-def _trsm_leaf(a, kern, r0, left, clo, chi):
-    """Apply (I + N)^-1 to k pivot rows, N = stored strict-lower multipliers.
+def _join(a, kern, r0, cols, h, lo, hi):
+    """The pivot block of two adjacent ones: lo for the h pivot rows from r0,
+    hi for the rest of the pivot columns cols.
 
-    The inverse is the Neumann sum of the nilpotent -N, built by doubling:
-    one small product per step gives both inv @ power and power @ power
-    (about log2 k products), after which all k rows update in one product.
+    Up to _TRSM_LEAF pivots the block is the inverse of the unit-lower
+    multipliers L = [[A, 0], [C, B]], C = a[hi's rows, lo's columns]:
+    L^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], two products.  Larger blocks
+    keep the halves, (h, lo, hi), for _trsm to walk.
     """
-    k = len(left)
-    if k == 1:
-        return
-    p = kern.p
-    lf = a[r0 : r0 + k, np.asarray(left, dtype=np.intp)]
-    lower = np.tril_indices(k, -1)
-    neg = np.zeros((k, k), dtype=np.uint64)
-    vals = lf[lower]
-    neg[lower] = np.where(vals != 0, np.uint64(p) - vals, np.uint64(0))
-    inv = np.eye(k, dtype=np.uint64) + neg  # I + (-N): partial sum of order < 2
-    power = kern.matmul_mod(neg, neg)
-    span = 2
-    while span < k:
-        span *= 2
-        prod = kern.matmul_mod(np.vstack((inv, power)) if span < k else inv, power)
-        inv = _condsub(prod[:k] + inv, p)
-        power = prod[k:]
-    a[r0 : r0 + k, clo:chi] = kern.matmul_mod(inv, a[r0 : r0 + k, clo:chi])
+    if lo is None or hi is None:
+        return hi if lo is None else lo
+    k = len(cols)
+    if k > _TRSM_LEAF:
+        return h, lo, hi
+    off = kern.matmul_mod(hi, kern.matmul_mod(a[r0 + h : r0 + k, cols[:h]], lo))
+    inv = np.zeros((k, k), dtype=np.uint64)
+    inv[:h, :h] = lo
+    inv[h:, h:] = hi
+    inv[h:, :h] = _condsub(np.uint64(kern.p) - off, kern.p)
+    return inv
 
 
-def _trsm(a, kern, r0, left, clo, chi):
-    """Bring pivot rows up to date on columns [clo, chi).
+def _trsm(a, kern, r0, cols, block, clo, chi):
+    """Bring the pivot rows of block, from r0 with pivot columns cols, up to
+    date on columns [clo, chi).
 
     Solves the unit-lower system given by the stored multipliers: row t
     must absorb the eliminations of pivots s < t before those rows can be
-    used in a block update.
+    used in a block update.  A carried inverse applies in one product; a
+    larger block solves its first half, updates the second half's rows
+    with it and solves the second half.
     """
-    k = len(left)
-    if k <= _TRSM_LEAF:
-        _trsm_leaf(a, kern, r0, left, clo, chi)
-        return
-    h = k // 2
-    _trsm(a, kern, r0, left[:h], clo, chi)
-    kern.gemm_sub(a, r0 + h, r0 + k, r0, left[:h], clo, chi)
-    _trsm(a, kern, r0 + h, left[h:], clo, chi)
+    if isinstance(block, tuple):
+        h, lo, hi = block
+        _trsm(a, kern, r0, cols[:h], lo, clo, chi)
+        kern.gemm_sub(a, r0 + h, r0 + len(cols), r0, cols[:h], clo, chi)
+        _trsm(a, kern, r0 + h, cols[h:], hi, clo, chi)
+    elif len(block) > 1:
+        rows = a[r0 : r0 + len(block), clo:chi]
+        rows[...] = kern.matmul_mod(block, rows)
 
 
 def _ple(a, kern, r0, c0, c1, pivs):
     """Leftmost-first PLE of columns [c0, c1) from row r0 down, appending the
-    pivot columns to pivs.
+    pivot columns to pivs; returns the pivot block of the k pivot rows from
+    r0: None when k = 0, the k x k inverse of their unit-lower multipliers
+    when k <= _TRSM_LEAF or the block is a leaf, and otherwise the triple
+    (h, left block, right block) of its two children, h pivots on the left.
 
     A panel is split at its middle, or, when it is wider than the m - r0
     rows left, at max(middle, c0 + (m - r0)): the left part is then wide
@@ -582,26 +613,30 @@ def _ple(a, kern, r0, c0, c1, pivs):
     cannot change the leftmost-first choice of the pivots before it.  The
     matrix is left partly updated when the elimination stops; only the
     pivot trace is the result.
+
+    A block stays valid up the recursion: its multipliers, in its pivot
+    rows and columns, are final once written.  Later updates write only
+    columns right of a split, and later row swaps only rows below it.
     """
     m = a.shape[0]
     if r0 >= m or c0 >= c1:
-        return
+        return None
     if c1 - c0 <= _LEAF_W:
-        _ple_leaf(a, kern, r0, c0, c1, pivs)
-        return
+        return _ple_leaf(a, kern, r0, c0, c1, pivs)
     mid = (c0 + c1) // 2
     if c1 - c0 > m - r0:
         mid = max(mid, c0 + (m - r0))
     base = len(pivs)
-    _ple(a, kern, r0, c0, mid, pivs)
+    lo = _ple(a, kern, r0, c0, mid, pivs)
     left = pivs[base:]
-    k = len(left)
-    if r0 + k >= m:
-        return
-    if k:
-        _trsm(a, kern, r0, left, mid, c1)
-        kern.gemm_sub(a, r0 + k, m, r0, left, mid, c1)
-    _ple(a, kern, r0 + k, mid, c1, pivs)
+    h = len(left)
+    if r0 + h >= m:
+        return lo
+    if h:
+        _trsm(a, kern, r0, left, lo, mid, c1)
+        kern.gemm_sub(a, r0 + h, m, r0, left, mid, c1)
+    hi = _ple(a, kern, r0 + h, mid, c1, pivs)
+    return _join(a, kern, r0, pivs[base:], h, lo, hi)
 
 
 def _rank_with_pivots(a: np.ndarray, p: int) -> tuple[int, list[int]]:
@@ -645,12 +680,22 @@ class PrimeFieldMatrix:
         arr = np.asarray(entries)
         if arr.ndim != 2:
             raise ValueError(f"matrix entries must be 2-dimensional, got shape {arr.shape}")
+        kind = arr.dtype.kind
         if arr.dtype == np.uint64:
             arr = arr % np.uint64(field.p)
-        elif arr.dtype.kind in "iu":  # every other integer dtype fits int64, as does p
+        elif kind in "iu":  # every other integer dtype fits int64, as does p
             arr = np.remainder(arr, np.int64(field.p), dtype=np.int64).astype(np.uint64)
+        elif kind == "b" or arr.size == 0:  # numpy reads [[]] as float64
+            arr = arr.astype(np.uint64)
+        elif kind == "O":  # Python integers of any size
+            bad = {type(x).__name__ for x in arr.flat if not isinstance(x, (int, np.integer))}
+            if bad:
+                raise TypeError(
+                    f"matrix entries must be integers, got dtype object holding {', '.join(sorted(bad))}"
+                )
+            arr = (arr % field.p).astype(np.uint64)
         else:
-            arr = (np.array(entries, dtype=object).reshape(arr.shape) % field.p).astype(np.uint64)
+            raise TypeError(f"matrix entries must be integers, got dtype {arr.dtype}")
         self._wrap(field, arr, in_place=False)
 
     def _wrap(self, field: PrimeField, arr: np.ndarray, in_place: bool) -> None:

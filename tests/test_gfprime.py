@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +169,33 @@ def test_matrix_accepts_signed_and_big_integers():
     assert m.entry(0, 0) == 100
     assert m.entry(0, 1) == 1
     assert (m.entry(1, 0) + m.entry(1, 1)) % 101 == 0
+
+
+@pytest.mark.parametrize(
+    "entries, dtype",
+    [
+        ([[0.5, 1.9]], "float64"),
+        (np.ones((2, 2), dtype=np.float32), "float32"),
+        ([[1j, 2]], "complex128"),
+        ([["1", "2"]], "<U1"),
+        ([[1, 0.5, 10**30]], "object holding float"),
+        ([[None, 10**30]], "object holding NoneType"),
+    ],
+)
+def test_matrix_refuses_non_integer_entries(entries, dtype):
+    """A float entry was once truncated and a string one failed inside the
+    reduction; both are refused up front, with the dtype named."""
+    with pytest.raises(TypeError, match=f"integers, got dtype {re.escape(dtype)}$"):
+        PrimeFieldMatrix(PrimeField(101), entries)
+
+
+def test_matrix_accepts_bools_and_numpy_integers_among_python_ones():
+    f = PrimeField(101)
+    assert PrimeFieldMatrix(f, np.array([[True, False]])).entries.tolist() == [[1, 0]]
+    assert PrimeFieldMatrix(f, [[np.int64(-1), 10**30, True]]).entries.tolist() == [
+        [100, 10**30 % 101, 1]
+    ]
+    assert PrimeFieldMatrix(f, [[]]).shape == (1, 0)
 
 
 def test_nullspace_is_exact_kernel():
@@ -594,7 +622,7 @@ def _ple_calls(monkeypatch):
 
     def recorded(a, kern, r0, c0, c1, pivs):
         calls.append((a.shape[0], r0, c0, c1))
-        inner(a, kern, r0, c0, c1, pivs)
+        return inner(a, kern, r0, c0, c1, pivs)
 
     monkeypatch.setattr(gfprime, "_ple", recorded)
     return calls
@@ -675,6 +703,125 @@ def test_pivot_trace_of_planted_profiles_matches_the_oracle(case):
         pivots = _assert_oracle_trace(a, p)
     # a random left factor can be rank deficient, with probability about r / p
     assert pivots == profile or p == 101
+
+
+# ---------------------------------------------------------------------------
+# Carried inverses: every pivot block _ple returns, against the unit-lower
+# multipliers it stands for, on Python integers.
+
+INVERSE_PRIMES = [101, 1048573, P40, P61]  # one limb (twice), two and three
+
+
+def _ple_blocks(monkeypatch):
+    """Record (r0, c0, c1, pivot columns, block) of every _ple call."""
+    calls = []
+    inner = gfprime._ple
+
+    def recorded(a, kern, r0, c0, c1, pivs):
+        base = len(pivs)
+        block = inner(a, kern, r0, c0, c1, pivs)
+        calls.append((r0, c0, c1, pivs[base:], block))
+        return block
+
+    monkeypatch.setattr(gfprime, "_ple", recorded)
+    return calls
+
+
+def _assert_block(a, p, r0, cols, block):
+    """block is the pivot block of the pivot rows from r0, with pivot
+    columns cols, of the eliminated matrix a: None without pivots, the
+    inverse of the unit-lower multipliers up to _TRSM_LEAF pivots (or in
+    a leaf), and its two halves above."""
+    k = len(cols)
+    if block is None:
+        assert k == 0
+        return
+    if isinstance(block, tuple):
+        h, lo, hi = block
+        assert k > gfprime._TRSM_LEAF and 0 < h < k
+        _assert_block(a, p, r0, cols[:h], lo)
+        _assert_block(a, p, r0 + h, cols[h:], hi)
+        return
+    assert block.dtype == np.uint64 and block.shape == (k, k)
+    low = a[r0 : r0 + k, cols].astype(object)
+    low[np.triu_indices(k)] = 0
+    low += np.eye(k, dtype=np.int64).astype(object)
+    assert ((low.dot(block.astype(object)) % p) == np.eye(k, dtype=np.int64)).all()
+
+
+def _assert_blocks(a, p, calls):
+    rank, pivots = _rank_with_pivots(a, p)  # a is eliminated in place
+    for r0, _, _, cols, block in calls:
+        _assert_block(a, p, r0, cols, block)
+    return pivots
+
+
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+def test_carried_inverses_invert_their_multipliers(p, monkeypatch):
+    """200 x 128 whose eight-column leaves hold 1, 2, ..., 8 pivots, twice
+    over: every leaf size occurs, joins up to the 64-pivot cap make
+    16-, 32- and 64-column blocks of 3 to 36 pivots, and the root's 72
+    pivots keep their halves."""
+    rng = np.random.default_rng(p % 967)
+    leaves = [8 * i + rng.choice(8, size=i % 8 + 1, replace=False) for i in range(16)]
+    profile = sorted(int(c) for c in np.concatenate(leaves))
+    a = _planted(rng, p, 200, 128, profile)
+    calls = _ple_blocks(monkeypatch)
+    assert _assert_blocks(a.copy(), p, calls) == _gauss_jordan(a.astype(object), p) == profile
+    leaf_sizes = {len(cols) for _, c0, c1, cols, _ in calls if c1 - c0 <= gfprime._LEAF_W}
+    joined = [cols for _, c0, c1, cols, b in calls if c1 - c0 > gfprime._LEAF_W and b is not None]
+    assert leaf_sizes == set(range(1, 9))
+    assert {len(cols) for cols in joined} == {3, 7, 11, 15, 10, 26, 36, 72}
+
+
+def _empty_child(rng, p):
+    """Columns 8-15 hold no pivot, so joins meet a child without pivots."""
+    return _planted(rng, p, 30, 48, list(range(8)) + list(range(16, 30)))
+
+
+def _early_stop(rng, p):
+    """12 x 40 of full row rank, its pivots in columns 0-15: the root's left
+    part [0, 20) gives every row a pivot and the elimination stops there."""
+    profile = sorted(int(c) for c in rng.choice(16, size=12, replace=False))
+    return _planted(rng, p, 12, 40, profile)
+
+
+def _deep_solve(rng, p):
+    """40 x 64 with 30 pivots left of the root's split at column 32: the
+    root solves with a block of 30 pivots, whose halves are above the cap
+    of 4 again."""
+    return _planted(rng, p, 40, 64, list(range(30)) + [40, 50, 63])
+
+
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+@pytest.mark.parametrize("case", [_empty_child, _early_stop, _deep_solve])
+def test_carried_inverses_keep_the_oracle_trace(p, case, monkeypatch):
+    """With leaves of 2 columns and a cap of 4 pivots, every block that _ple
+    returns inverts its multipliers and the pivot trace is the oracle's."""
+    _shrunk(monkeypatch)
+    a = case(np.random.default_rng(p % 953), p)
+    joins, solves = [], []
+    join, trsm = gfprime._join, gfprime._trsm
+
+    def joined(a, kern, r0, cols, h, lo, hi):
+        joins.append((lo is None, hi is None))
+        return join(a, kern, r0, cols, h, lo, hi)
+
+    def solved(a, kern, r0, cols, block, clo, chi):
+        solves.append(block)
+        return trsm(a, kern, r0, cols, block, clo, chi)
+
+    monkeypatch.setattr(gfprime, "_join", joined)
+    monkeypatch.setattr(gfprime, "_trsm", solved)
+    calls = _ple_blocks(monkeypatch)
+    assert _assert_blocks(a.copy(), p, calls) == _gauss_jordan(a.astype(object), p)
+    if case is _empty_child:
+        assert (True, False) in joins and (False, True) in joins
+    elif case is _early_stop:
+        assert max(c0 for _, c0, _, _, _ in calls) < 20
+    else:
+        nested = [b for b in solves if isinstance(b, tuple) and isinstance(b[1], tuple)]
+        assert nested
 
 
 # ---------------------------------------------------------------------------
