@@ -750,7 +750,7 @@ def _assert_block(a, p, r0, cols, block):
 
 
 def _assert_blocks(a, p, calls):
-    rank, pivots = _rank_with_pivots(a, p)  # a is eliminated in place
+    _, pivots = _rank_with_pivots(a, p)  # a is eliminated in place
     for r0, _, _, cols, block in calls:
         _assert_block(a, p, r0, cols, block)
     return pivots
@@ -769,9 +769,9 @@ def test_carried_inverses_invert_their_multipliers(p, monkeypatch):
     calls = _ple_blocks(monkeypatch)
     assert _assert_blocks(a.copy(), p, calls) == _gauss_jordan(a.astype(object), p) == profile
     leaf_sizes = {len(cols) for _, c0, c1, cols, _ in calls if c1 - c0 <= gfprime._LEAF_W}
-    joined = [cols for _, c0, c1, cols, b in calls if c1 - c0 > gfprime._LEAF_W and b is not None]
+    node_sizes = {len(cols) for _, c0, c1, cols, _ in calls if c1 - c0 > gfprime._LEAF_W}
     assert leaf_sizes == set(range(1, 9))
-    assert {len(cols) for cols in joined} == {3, 7, 11, 15, 10, 26, 36, 72}
+    assert node_sizes == {3, 7, 11, 15, 10, 26, 36, 72}
 
 
 def _empty_child(rng, p):
