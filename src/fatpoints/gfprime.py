@@ -18,7 +18,8 @@ block with the inverse of those multipliers: a leaf builds it by forward
 substitution, and a node joins its children's inverses with two products
 while the block holds at most _TRSM_LEAF pivots, so the solve applies it in
 one product; a larger block keeps its children, and the solve walks them
-along the elimination's own splits.  One kernel,
+along the elimination's own splits.  A block whose rows reach the last row
+is never solved with and is not joined.  One kernel,
 parameterised by p, serves every prime: operands are split into 1, 2 or 3
 limbs of 21 bits, as few as keep the limb products exact in a float64
 GEMM, so the products go through BLAS.  The exact limb products of every
@@ -292,7 +293,6 @@ _LEAF_W = 8
 _TRSM_LEAF = 64
 _STRIPE = 1024
 _TILE = 1 << 19  # elements per row tile of a product stripe
-_KEEP_MIN = 1 << 17  # elements from which a kernel keeps a work buffer between calls
 # Elements of the accumulators of one stripe.  Taller updates go in row
 # blocks: the accumulators of a 4200-row elimination's tallest update
 # would otherwise take 155 MB.
@@ -317,7 +317,8 @@ _ACC_K = 1 << (61 - _LIMB_PRODUCT_BITS)
 
 
 class _Kernel:
-    """Update kernels mod p via exact float64 BLAS on limbs.
+    """Exact products mod p via float64 BLAS on limbs: matmul_mod and the
+    in-place block update gemm_sub.
 
     With L limbs x = sum(x_i 2**(21 i)), a product x @ y takes L(L+1)/2
     Karatsuba GEMMs (1, 3 or 6): x_i @ y_i, and (x_i + x_j) @ (y_i + y_j)
@@ -325,7 +326,7 @@ class _Kernel:
     x_i @ y_j follow by subtraction.  The parts are reduced by Horner's rule
     over 2**21, one reduction step each, or by rotations mod 2**61 - 1.
 
-    One kernel serves one elimination.  It keeps its work buffers between
+    One kernel serves one elimination.  It keeps every work buffer between
     calls, because faulting in fresh pages for every temporary costs more
     than the arithmetic done in them.
     """
@@ -341,13 +342,10 @@ class _Kernel:
         self._scratch: dict[str, np.ndarray] = {}
 
     def _buf(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """An uninitialised array of this shape, reusing the buffer kept under
-        name.  Small arrays are allocated afresh: the allocator serves them
-        from memory it already has, and keeping them would only add to the
-        peak footprint of small eliminations."""
+        """An uninitialised array of this shape in the buffer kept under name,
+        which grows to the largest size asked for and lives as long as the
+        kernel."""
         size = math.prod(shape)
-        if size < _KEEP_MIN:
-            return np.empty(shape, dtype=dtype)
         buf = self._scratch.get(name)
         if buf is None or buf.size < size:
             buf = self._scratch[name] = np.empty(size, dtype=dtype)
@@ -489,16 +487,6 @@ class _Kernel:
                 np.subtract(v, p, out=tmp)
                 np.minimum(v, tmp, out=v)
 
-    def scale_col(self, a, r1, j, scalar):
-        a[r1:, j] = mulmod_vec(a[r1:, j], np.uint64(scalar), self.p)
-
-    def outer_sub(self, a, r1, clo, chi, f, u):
-        prod = mulmod_vec(f[:, None], u[None, :], self.p)
-        np.subtract(np.uint64(self.p), prod, out=prod)
-        v = a[r1:, clo:chi]
-        v += prod
-        _condsub(v, self.p)
-
 
 def _ple_leaf(a, kern, r0, c0, c1, pivs):
     """Classical elimination of columns [c0, c1) from row r0 down; returns
@@ -510,6 +498,7 @@ def _ple_leaf(a, kern, r0, c0, c1, pivs):
     built by forward substitution over Python integers:
     row t of L^-1 is e_t - sum over s < t of L[t, s] * (row s of L^-1).
     """
+    p = kern.p
     panel = a[r0:, c0:c1].copy()
     m, w = panel.shape
     r = 0
@@ -525,10 +514,14 @@ def _ple_leaf(a, kern, r0, c0, c1, pivs):
             a[[r0 + r, r0 + pr]] = a[[r0 + pr, r0 + r]]
             panel[[r, pr]] = panel[[pr, r]]
         if r + 1 < m:
-            inv = pow(int(panel[r, j]), -1, kern.p)
-            kern.scale_col(panel, r + 1, j, inv)
+            col = panel[r + 1 :, j]
+            col[...] = mulmod_vec(col, np.uint64(pow(int(panel[r, j]), -1, p)), p)
             if j + 1 < w:
-                kern.outer_sub(panel, r + 1, j + 1, w, panel[r + 1 :, j], panel[r, j + 1 :])
+                prod = mulmod_vec(col[:, None], panel[r, j + 1 :], p)
+                np.subtract(np.uint64(p), prod, out=prod)
+                v = panel[r + 1 :, j + 1 :]
+                v += prod
+                _condsub(v, p)
         pivs.append(c0 + j)
         cols.append(j)
         r += 1
@@ -545,7 +538,7 @@ def _ple_leaf(a, kern, r0, c0, c1, pivs):
             if f:
                 for u in range(s + 1):
                     row[u] -= f * inv[s][u]
-        inv.append([v % kern.p for v in row])
+        inv.append([v % p for v in row])
     return np.array(inv, dtype=np.uint64)
 
 
@@ -556,12 +549,14 @@ def _join(a, kern, r0, cols, h, lo, hi):
     Up to _TRSM_LEAF pivots the block is the inverse of the unit-lower
     multipliers L = [[A, 0], [C, B]], C = a[hi's rows, lo's columns]:
     L^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]], two products.  Larger blocks
-    keep the halves, (h, lo, hi), for _trsm to walk.
+    keep the halves, (h, lo, hi), for _trsm to walk, and so does a block
+    whose rows reach the last row: every ancestor then stops early, so no
+    solve reads it.
     """
     if lo is None or hi is None:
         return hi if lo is None else lo
     k = len(cols)
-    if k > _TRSM_LEAF:
+    if k > _TRSM_LEAF or r0 + k >= a.shape[0]:
         return h, lo, hi
     off = kern.matmul_mod(hi, kern.matmul_mod(a[r0 + h : r0 + k, cols[:h]], lo))
     inv = np.zeros((k, k), dtype=np.uint64)
@@ -595,8 +590,10 @@ def _ple(a, kern, r0, c0, c1, pivs):
     """Leftmost-first PLE of columns [c0, c1) from row r0 down, appending the
     pivot columns to pivs; returns the pivot block of the k pivot rows from
     r0: None when k = 0, the k x k inverse of their unit-lower multipliers
-    when k <= _TRSM_LEAF or the block is a leaf, and otherwise the triple
-    (h, left block, right block) of its two children, h pivots on the left.
+    when the block is a leaf, or has k <= _TRSM_LEAF pivots whose rows stop
+    short of the last row (no solve reads a block that reaches it), and
+    otherwise the triple (h, left block, right block) of its two children,
+    h pivots on the left.
 
     A panel is split at its middle, or, when it is wider than the m - r0
     rows left, at max(middle, c0 + (m - r0)): the left part is then wide
@@ -645,11 +642,8 @@ def _rank_with_pivots(a: np.ndarray, p: int) -> tuple[int, list[int]]:
     The elimination runs in place: a is left partly eliminated, so the
     caller passes an array it owns and reads nothing from it afterwards.
     """
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return 0, []
     pivs: list[int] = []
-    _ple(a, _Kernel(p), 0, 0, n, pivs)
+    _ple(a, _Kernel(p), 0, 0, a.shape[1], pivs)
     return len(pivs), pivs
 
 
@@ -703,17 +697,6 @@ class PrimeFieldMatrix:
         self._a = arr  # None once an in-place rank has spent it
         self._shape = arr.shape
         self._in_place = in_place
-
-    @classmethod
-    def from_residues(cls, field: PrimeField, arr: np.ndarray) -> "PrimeFieldMatrix":
-        """Wrap an already-reduced uint64 array without copying or checking.
-
-        The matrix shares arr with the caller: writes to arr show in the
-        matrix, but rank() and pivot_columns() never write to arr.
-        """
-        self = cls.__new__(cls)
-        self._wrap(field, arr, in_place=False)
-        return self
 
     @classmethod
     def _consumable(cls, field: PrimeField, arr: np.ndarray) -> "PrimeFieldMatrix":

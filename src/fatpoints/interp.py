@@ -208,6 +208,8 @@ def _condition_blocks(values: np.ndarray, m: int, n: int, d: int, p: int) -> np.
 
 # Draws of one trial's points before a degenerate configuration is an error.
 _DRAW_ATTEMPTS = 8
+# Random lines tried for one point on a quadric before QuadricSampleError.
+_QUADRIC_LINES = 64
 
 
 def _draw_points(
@@ -317,8 +319,11 @@ def effective_dim(
         rank = monomials  # a multiplicity above d+1 kills every form
     elif conditions:
         ceiling = min(conditions, monomials)
-        for child in np.random.SeedSequence(seed).spawn(trials):
-            rng = np.random.default_rng(child)
+        seeds = np.random.SeedSequence(seed)
+        for _ in range(trials):
+            # children one at a time: the same as spawn(trials), without
+            # holding a child for every trial that an early stop skips
+            rng = np.random.default_rng(seeds.spawn(1)[0])
             pts = _draw_points(sys.npoints, n, field, rng, constraints)
             rank = max(rank, _system_matrix(sys, pts, field).rank())
             trials_run += 1
@@ -357,7 +362,7 @@ def quadric_through(points: list[SamplePoint], field: PrimeField) -> tuple[int, 
     is normalized so its first nonzero coordinate is 1.
     """
     values = _monomial_values(points, 3, 2, field.p)
-    kernel = PrimeFieldMatrix.from_residues(field, values).nullspace()
+    kernel = PrimeFieldMatrix(field, values).nullspace()
     if len(kernel) != 1:
         raise DegenerateConfigurationError(
             f"quadric through {len(points)} points has kernel dimension {len(kernel)}, expected 1"
@@ -370,7 +375,6 @@ def on_quadric(
     rng: np.random.Generator,
     field: PrimeField,
     *,
-    max_attempts: int = 64,
     counter: dict | None = None,
 ) -> SamplePoint:
     """A random point on the quadric q, or QuadricSampleError.
@@ -378,8 +382,8 @@ def on_quadric(
     Draws a fresh random affine line, restricts q to it and solves the
     quadratic with the field square root; non-residue discriminants and
     degenerate (non-quadratic) restrictions are retried, about half of
-    all lines succeeding.  When `counter` is given, counter["attempts"]
-    records how many lines were tried.
+    all lines succeeding, up to _QUADRIC_LINES lines.  When `counter` is
+    given, counter["attempts"] records how many lines were tried.
     """
     p = field.p
     coeffs = np.array([int(c) % p for c in q], dtype=np.uint64)
@@ -390,7 +394,7 @@ def on_quadric(
     def terms(pts):  # coeff_c * pt ** e_c mod p, one row per point, as ints
         return mulmod_vec(_monomial_values(pts, 3, 2, p), coeffs, p).astype(object)
 
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, _QUADRIC_LINES + 1):
         base = tuple(int(x) for x in rng.integers(0, p, size=3, dtype=np.uint64))
         direction = tuple(int(x) for x in rng.integers(0, p, size=3, dtype=np.uint64))
         shifted = tuple((bb + dd) % p for bb, dd in zip(base, direction))
@@ -415,7 +419,7 @@ def on_quadric(
         if terms([pt]).sum() % p:
             raise ArithmeticError(f"sampled point {pt} is not on the quadric {tuple(q)}")
         return pt
-    raise QuadricSampleError(max_attempts)
+    raise QuadricSampleError(_QUADRIC_LINES)
 
 
 def fixed_component_test(

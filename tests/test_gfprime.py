@@ -219,14 +219,6 @@ def test_nullspace_is_exact_kernel():
             assert sum(a * b for a, b in zip(row, vec)) % p == 0
 
 
-def test_from_residues_trusts_reduced_input():
-    f = PrimeField(13)
-    arr = np.array([[1, 12], [5, 0]], dtype=np.uint64)
-    m = PrimeFieldMatrix.from_residues(f, arr)
-    assert m.rank() == 2
-    assert m.shape == (2, 2)
-
-
 def test_default_prime_is_the_mersenne_prime():
     assert DEFAULT_PRIME == MERSENNE61 == 2**61 - 1
     assert is_prime(DEFAULT_PRIME)
@@ -305,24 +297,6 @@ def test_m61_gemm_sub_updates_a_view_in_place(seed, fill, m, k, n):
     changed = big != before
     changed[2 + k : 2 + k + m, 3 + k : 3 + k + n] = False
     assert not changed.any()
-
-
-@given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(FILLS), rows=st.integers(1, 300))
-@settings(max_examples=30, deadline=None)
-@example(seed=0, fill="max", rows=1)
-def test_m61_scale_col_and_outer_sub_match_integers(seed, fill, rows):
-    rng = np.random.default_rng(seed)
-    a = _residues(rng, (rows + 1, 9), fill)
-    scalar = int(_residues(rng, (1,), fill)[0])
-    ref = a.astype(object)
-    ref[1:, 2] = ref[1:, 2] * scalar % P61
-    kern = _Kernel(P61)
-    kern.scale_col(a, 1, 2, scalar)
-    assert (a.astype(object) == ref).all()
-    f, u = a[1:, 2].copy(), a[0, 3:8].copy()
-    ref[1:, 3:8] = (ref[1:, 3:8] - np.outer(f.astype(object), u.astype(object))) % P61
-    kern.outer_sub(a, 1, 3, 8, f, u)
-    assert (a.astype(object) == ref).all()
 
 
 @given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(FILLS), size=st.integers(0, 2000))
@@ -509,24 +483,47 @@ def test_kernel_gemm_sub_updates_a_view_in_place(p, seed, fill, m, k, n):
     assert not changed.any()
 
 
+def _classical_leaf(a, p, r0, c0, c1):
+    """Classical elimination over Python integers of columns [c0, c1) from
+    row r0 down: first nonzero row, swap of full rows, multipliers stored
+    below each pivot and a rank-1 update of the columns right of it."""
+    a = a.astype(object)
+    r, pivots = r0, []
+    for j in range(c0, c1):
+        nz = [i for i in range(r, a.shape[0]) if a[i, j]]
+        if not nz:
+            continue
+        a[[r, nz[0]]] = a[[nz[0], r]]
+        below, rest = a[r + 1 :, j], a[r + 1 :, j + 1 : c1]
+        below[:] = below * pow(int(a[r, j]), -1, p) % p
+        rest[:] = (rest - np.outer(below, a[r, j + 1 : c1])) % p
+        pivots.append(j)
+        r += 1
+        if r == a.shape[0]:
+            break
+    return a, pivots
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
-@given(seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(EDGE_FILLS), rows=st.integers(1, 300))
+@given(
+    seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(("max", "edges")), rows=st.integers(1, 300)
+)
 @settings(max_examples=10, deadline=None)
 @example(seed=0, fill="max", rows=1)
 @example(seed=1, fill="edges", rows=300)
-def test_kernel_scale_col_and_outer_sub_match_integers(p, seed, fill, rows):
+@example(seed=2, fill="edges", rows=3)
+def test_ple_leaf_matches_classical_elimination(p, seed, fill, rows):
+    """The leaf's column scaling and rank-1 updates, at the largest
+    operands and at 0, 1 and p - 1, against Python integers: the eliminated
+    panel, the row swaps of the full rows and the pivot columns."""
     rng = np.random.default_rng(seed)
-    a = _residues_mod(p, rng, (rows + 1, 9), fill)
-    scalar = int(_residues_mod(p, rng, (1,), fill)[0])
-    ref = a.astype(object)
-    ref[1:, 2] = ref[1:, 2] * scalar % p
-    kern = _Kernel(p)
-    kern.scale_col(a, 1, 2, scalar)
-    assert (a.astype(object) == ref).all()
-    f, u = a[1:, 2].copy(), a[0, 3:8].copy()
-    ref[1:, 3:8] = (ref[1:, 3:8] - np.outer(f.astype(object), u.astype(object))) % p
-    kern.outer_sub(a, 1, 3, 8, f, u)
-    assert (a.astype(object) == ref).all()
+    a = _residues_mod(p, rng, (rows + 1, gfprime._LEAF_W + 2), fill)
+    c1 = gfprime._LEAF_W + 1
+    want, want_pivots = _classical_leaf(a, p, 1, 1, c1)
+    pivots: list[int] = []
+    gfprime._ple_leaf(a, _Kernel(p), 1, 1, c1, pivots)
+    assert pivots == want_pivots
+    assert (a.astype(object) == want).all()
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -731,14 +728,16 @@ def _assert_block(a, p, r0, cols, block):
     """block is the pivot block of the pivot rows from r0, with pivot
     columns cols, of the eliminated matrix a: None without pivots, the
     inverse of the unit-lower multipliers up to _TRSM_LEAF pivots (or in
-    a leaf), and its two halves above."""
+    a leaf), and its two halves above, or when its rows reach the last
+    row."""
     k = len(cols)
     if block is None:
         assert k == 0
         return
     if isinstance(block, tuple):
         h, lo, hi = block
-        assert k > gfprime._TRSM_LEAF and 0 < h < k
+        assert k > gfprime._TRSM_LEAF or r0 + k >= a.shape[0]
+        assert 0 < h < k
         _assert_block(a, p, r0, cols[:h], lo)
         _assert_block(a, p, r0 + h, cols[h:], hi)
         return
@@ -797,15 +796,24 @@ def _deep_solve(rng, p):
 @pytest.mark.parametrize("case", [_empty_child, _early_stop, _deep_solve])
 def test_carried_inverses_keep_the_oracle_trace(p, case, monkeypatch):
     """With leaves of 2 columns and a cap of 4 pivots, every block that _ple
-    returns inverts its multipliers and the pivot trace is the oracle's."""
+    returns inverts its multipliers and the pivot trace is the oracle's.  A
+    join of a block whose rows reach the last row computes no product."""
     _shrunk(monkeypatch)
     a = case(np.random.default_rng(p % 953), p)
-    joins, solves = [], []
-    join, trsm = gfprime._join, gfprime._trsm
+    joins, both, solves, products = [], [], [], []
+    join, trsm, matmul_mod = gfprime._join, gfprime._trsm, _Kernel.matmul_mod
 
     def joined(a, kern, r0, cols, h, lo, hi):
         joins.append((lo is None, hi is None))
-        return join(a, kern, r0, cols, h, lo, hi)
+        before = len(products)
+        block = join(a, kern, r0, cols, h, lo, hi)
+        if lo is not None and hi is not None:  # (reaches the last row, pivots, products)
+            both.append((r0 + len(cols) >= a.shape[0], len(cols), len(products) - before))
+        return block
+
+    def counted(kern, x, y):
+        products.append(x.shape)
+        return matmul_mod(kern, x, y)
 
     def solved(a, kern, r0, cols, block, clo, chi):
         solves.append(block)
@@ -813,12 +821,16 @@ def test_carried_inverses_keep_the_oracle_trace(p, case, monkeypatch):
 
     monkeypatch.setattr(gfprime, "_join", joined)
     monkeypatch.setattr(gfprime, "_trsm", solved)
+    monkeypatch.setattr(_Kernel, "matmul_mod", counted)
     calls = _ple_blocks(monkeypatch)
     assert _assert_blocks(a.copy(), p, calls) == _gauss_jordan(a.astype(object), p)
+    assert all(n == 0 for last, k, n in both if last or k > gfprime._TRSM_LEAF)
+    assert all(n == 2 for last, k, n in both if not last and k <= gfprime._TRSM_LEAF)
     if case is _empty_child:
         assert (True, False) in joins and (False, True) in joins
     elif case is _early_stop:
         assert max(c0 for _, c0, _, _, _ in calls) < 20
+        assert any(last and k <= gfprime._TRSM_LEAF for last, k, _ in both)
     else:
         nested = [b for b in solves if isinstance(b, tuple) and isinstance(b[1], tuple)]
         assert nested
@@ -921,8 +933,7 @@ def test_dependent_leading_columns_still_gather_the_panel(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1048573, P40, P61])
-@pytest.mark.parametrize("wrap", ["constructor", "from_residues"])
-def test_rank_pivot_columns_and_nullspace_leave_the_entries_alone(p, wrap, monkeypatch):
+def test_rank_pivot_columns_and_nullspace_leave_the_entries_alone(p, monkeypatch):
     """A 40 x 70 matrix of rank 26 with dependent leading columns, so the
     elimination runs leaves, triangular solves and both panel paths: the
     wrapped array and `entries` stay byte-identical, and repeated calls
@@ -932,10 +943,7 @@ def test_rank_pivot_columns_and_nullspace_leave_the_entries_alone(p, wrap, monke
     profile = [0] + list(range(8, 30)) + [40, 41, 60]
     arr = _planted(np.random.default_rng(p % 971), p, 40, 70, profile)
     before = arr.tobytes()
-    if wrap == "constructor":
-        mat = PrimeFieldMatrix(field, arr)
-    else:
-        mat = PrimeFieldMatrix.from_residues(field, arr)
+    mat = PrimeFieldMatrix(field, arr)
     kernel = mat.nullspace()
     for _ in range(2):
         assert mat.pivot_columns() == profile
@@ -951,7 +959,7 @@ def test_rank_pivot_columns_and_nullspace_leave_the_entries_alone(p, wrap, monke
 
 def test_entries_is_a_copy():
     arr = np.array([[1, 2], [3, 4]], dtype=np.uint64)
-    mat = PrimeFieldMatrix.from_residues(PrimeField(13), arr)
+    mat = PrimeFieldMatrix(PrimeField(13), arr)
     mat.entries[0, 0] = 5
     assert mat.entry(0, 0) == 1
 

@@ -189,8 +189,8 @@ def test_on_quadric_gives_up_after_max_attempts():
     field = PrimeField(101)
     q = tuple([0, 0, 0, 1] + [0] * 6)  # the plane z = 0 counts as a quadric here
     with pytest.raises(QuadricSampleError) as info:
-        on_quadric(q, np.random.default_rng(1), field, max_attempts=0)
-    assert info.value.attempts == 0
+        on_quadric(q, np.random.default_rng(1), field)  # a plane restricts to no line as a quadratic
+    assert info.value.attempts == 64
     with pytest.raises(ValueError):
         on_quadric((0,) * 10, np.random.default_rng(1), field)
 
@@ -339,6 +339,39 @@ def test_rank_deficient_system_runs_every_trial(monkeypatch):
     assert rep.rank == 14 < min(rep.conditions, rep.monomials)
     assert (rep.trials, rep.trials_run) == (3, 3)
     assert len(calls) == 3
+
+
+def _spawned_seeds(monkeypatch):
+    """Record every seed child that effective_dim spawns."""
+    children = []
+    real = np.random.SeedSequence
+
+    class Recorded:
+        def __init__(self, entropy):
+            self._seq = real(entropy)
+
+        def spawn(self, n):
+            kids = self._seq.spawn(n)
+            children.extend(kids)
+            return kids
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+    return children, real
+
+
+def test_only_the_trials_that_run_spawn_a_seed_child(monkeypatch):
+    """An early stop spawns no child for the trials it skips, and the
+    children spawned are spawn(trials)'s, in order."""
+    children, real = _spawned_seeds(monkeypatch)
+    rep = effective_dim(parse_system("L2(12,3^2,4^8)"), trials=1000, seed=5)
+    assert rep.trials_run == len(children) == 1
+    children.clear()
+    effective_dim(parse_system("L2(4,2^5)"), trials=3, seed=5)
+    assert [c.spawn_key for c in children] == [(0,), (1,), (2,)]
+    want = real(5).spawn(3)
+    assert [c.generate_state(4).tolist() for c in children] == [
+        c.generate_state(4).tolist() for c in want
+    ]
 
 
 def test_no_trial_runs_without_a_matrix(monkeypatch):
