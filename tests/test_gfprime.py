@@ -483,6 +483,34 @@ def test_kernel_gemm_sub_updates_a_view_in_place(p, seed, fill, m, k, n):
     assert not changed.any()
 
 
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_keeps_every_named_buffer(p):
+    """Even the smallest products and updates keep their work buffers: once
+    a product and a gathered-panel update have run, repeating them or
+    running smaller ones allocates no buffer again, and every result stays
+    exact."""
+    rng = np.random.default_rng(p % 997)
+    kern = _Kernel(p)
+    x, y = _residues_mod(p, rng, (6, 9), "random"), _residues_mod(p, rng, (9, 5), "random")
+    a = _residues_mod(p, rng, (12, 14), "edges")
+    pivcols = [3, 0, 2, 1]
+
+    def run(x, y, a):
+        assert (kern.matmul_mod(x, y).astype(object) == _int_matmul_mod(x, y, p)).all()
+        want = (a[4:, 5:].astype(object) - _int_matmul_mod(a[4:, pivcols], a[:4, 5:], p)) % p
+        kern.gemm_sub(a, 4, a.shape[0], 0, pivcols, 5, a.shape[1])
+        assert (a[4:, 5:].astype(object) == want).all()
+
+    run(x, y, a)
+    kept = dict(kern._scratch)
+    assert {"acc", "y", "x", "prods", "panel"} <= kept.keys()
+    assert ("limb" in kept) == (kern.limbs > 1)
+    run(x, y, a)
+    run(x[:3, :4], y[:4, :2], a[:8, :11])
+    assert kern._scratch.keys() == kept.keys()
+    assert all(kern._scratch[name] is buf for name, buf in kept.items())
+
+
 def _classical_leaf(a, p, r0, c0, c1):
     """Classical elimination over Python integers of columns [c0, c1) from
     row r0 down: first nonzero row, swap of full rows, multipliers stored
@@ -933,15 +961,23 @@ def test_dependent_leading_columns_still_gather_the_panel(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [1048573, P40, P61])
-def test_rank_pivot_columns_and_nullspace_leave_the_entries_alone(p, monkeypatch):
+@pytest.mark.parametrize("wrap", ["constructor", "fortran", "strided_view"])
+def test_rank_pivot_columns_and_nullspace_leave_the_entries_alone(p, wrap, monkeypatch):
     """A 40 x 70 matrix of rank 26 with dependent leading columns, so the
     elimination runs leaves, triangular solves and both panel paths: the
     wrapped array and `entries` stay byte-identical, and repeated calls
-    agree."""
+    agree.  The constructor wraps a C-ordered array, a Fortran-ordered copy
+    of it, or a view of every second column of a wider array."""
     _shrunk(monkeypatch)
     field = PrimeField(p)
     profile = [0] + list(range(8, 30)) + [40, 41, 60]
     arr = _planted(np.random.default_rng(p % 971), p, 40, 70, profile)
+    if wrap == "fortran":
+        arr = np.asfortranarray(arr)
+    elif wrap == "strided_view":
+        wide = np.zeros((40, 140), dtype=np.uint64)
+        wide[:, ::2] = arr
+        arr = wide[:, ::2]
     before = arr.tobytes()
     mat = PrimeFieldMatrix(field, arr)
     kernel = mat.nullspace()
