@@ -173,6 +173,267 @@ def test_genus_and_cremona(capsys):
     assert capsys.readouterr().out == "standard: [3;1^9]\n"
 
 
+# The exact stdout of every reporting command, as text and under --json:
+# (argv, text, json).  Literal strings, so a change shows as a diff.
+PINNED_OUTPUTS = [
+    (
+        ["vdim", "L3(9,6,4^8)"],
+        "3\n",
+        """\
+{
+  "command": "vdim",
+  "system": "L3(9,6,4^8)",
+  "vdim": 3
+}
+""",
+    ),
+    (
+        ["edim", "L3(4,2^9)"],
+        "-1\n",
+        """\
+{
+  "command": "edim",
+  "edim": -1,
+  "system": "L3(4,2^9)"
+}
+""",
+    ),
+    (
+        ["special", "L2(6,1^2,2^8)", "--seed", "3", "--trials", "1"],
+        "special: false (vdim 1, edim 1)\n",
+        """\
+{
+  "analytic": false,
+  "command": "special",
+  "conditions": 26,
+  "edim": 1,
+  "expected_edim": 1,
+  "h0": 2,
+  "monomials": 28,
+  "prime": 2305843009213693951,
+  "rank": 26,
+  "seed": 3,
+  "special": false,
+  "system": "L2(6,1^2,2^8)",
+  "trials": 1,
+  "vdim": 1
+}
+""",
+    ),
+    (
+        ["restrict", "L3(9,6,4^8)"],
+        "(9,9;6;4^8)\n",
+        """\
+{
+  "command": "restrict",
+  "quadric_system": "(9,9;6;4^8)",
+  "system": "L3(9,6,4^8)"
+}
+""",
+    ),
+    (
+        ["toplanar", "(9,9;6;4^8)"],
+        "L2(12,3^2,4^8)\n",
+        """\
+{
+  "command": "toplanar",
+  "effective_multiplicities": true,
+  "planar": "L2(12,3^2,4^8)",
+  "quadric_system": "(9,9;6;4^8)"
+}
+""",
+    ),
+    (
+        ["toplanar", "(5,2;4;1,1)"],
+        "L2(3,-2,1^3)  (negative multiplicity: not effective as written)\n",
+        """\
+{
+  "command": "toplanar",
+  "effective_multiplicities": false,
+  "planar": "L2(3,-2,1^3)",
+  "quadric_system": "(5,2;4;1^2)"
+}
+""",
+    ),
+    (
+        ["chow", "pair", "[12;3^2,4^8]", "[12;3^2,4^8]"],
+        "-2\n",
+        """\
+{
+  "classes": [
+    "[12;3^2,4^8]",
+    "[12;3^2,4^8]"
+  ],
+  "command": "chow",
+  "mode": "pair",
+  "product": -2
+}
+""",
+    ),
+    (
+        ["chow", "triple", "[2;1^9]", "[7;5,3^8]", "[13;8,6^8]"],
+        "-2\n",
+        """\
+{
+  "classes": [
+    "[2;1^9]",
+    "[7;5,3^8]",
+    "[13;8,6^8]"
+  ],
+  "command": "chow",
+  "mode": "triple",
+  "product": -2
+}
+""",
+    ),
+    (
+        ["rr", "[7;5,3^8]"],
+        """\
+chi: 5
+vdim: 4
+""",
+        """\
+{
+  "chi": 5,
+  "class": "[7;5,3^8]",
+  "command": "rr",
+  "vdim": 4
+}
+""",
+    ),
+    (
+        ["defect", "[2;1^9]", "[7;5,3^8]"],
+        "-1\n",
+        """\
+{
+  "command": "defect",
+  "defect": -1,
+  "fixed": "[2;1^9]",
+  "mobile": "[7;5,3^8]"
+}
+""",
+    ),
+    (
+        ["negcurves", "--bounds", "6,1,2", "--against", "[12;3^2,4^8]"],
+        "[1;1^2,0^8]  pairing 6\n",
+        """\
+{
+  "against": "[12;3^2,4^8]",
+  "bounds": {
+    "d_max": 6,
+    "m12_max": 1,
+    "symmetric_tail": true,
+    "tail_max": 2
+  },
+  "command": "negcurves",
+  "hits": [
+    {
+      "class": "[1;1^2,0^8]",
+      "flagged": false,
+      "pairing": 6
+    }
+  ],
+  "threshold": -1
+}
+""",
+    ),
+    (
+        ["negcurves", "--bounds", "2,1,1", "--full-tail", "--threshold", "0", "--against", "[3;2,1^2]"],
+        """\
+[1;0,1^2]  pairing 1
+[1;1,0,1]  pairing 0  FLAGGED
+[1;1^2,0]  pairing 0  FLAGGED
+""",
+        """\
+{
+  "against": "[3;2,1^2]",
+  "bounds": {
+    "d_max": 2,
+    "m12_max": 1,
+    "symmetric_tail": false,
+    "tail_max": 1
+  },
+  "command": "negcurves",
+  "hits": [
+    {
+      "class": "[1;0,1^2]",
+      "flagged": false,
+      "pairing": 1
+    },
+    {
+      "class": "[1;1,0,1]",
+      "flagged": true,
+      "pairing": 0
+    },
+    {
+      "class": "[1;1^2,0]",
+      "flagged": true,
+      "pairing": 0
+    }
+  ],
+  "threshold": 0
+}
+""",
+    ),
+    (
+        ["negcurves", "--bounds", "0,0,0", "--against", "[2;2^2]"],
+        "no (-1)-classes in bounds\n",
+        """\
+{
+  "against": "[2;2^2]",
+  "bounds": {
+    "d_max": 0,
+    "m12_max": 0,
+    "symmetric_tail": true,
+    "tail_max": 0
+  },
+  "command": "negcurves",
+  "hits": [],
+  "threshold": -1
+}
+""",
+    ),
+    (
+        ["genus", "[9;2^2,3^8]"],
+        "2\n",
+        """\
+{
+  "class": "[9;2^2,3^8]",
+  "command": "genus",
+  "genus": 2
+}
+""",
+    ),
+    (
+        ["cremona-reduce", "[2;2^2]"],
+        """\
+standard: [0;0^3]
+stripped: [2;2^2,0]
+""",
+        """\
+{
+  "class": "[2;2^2]",
+  "command": "cremona-reduce",
+  "standard": "[0;0^3]",
+  "stripped": [
+    "[2;2^2,0]"
+  ]
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text, as_json", PINNED_OUTPUTS, ids=[" ".join(case[0]) for case in PINNED_OUTPUTS]
+)
+def test_reporting_commands_print_pinned_bytes(argv, text, as_json, capsys):
+    assert cli_main(argv) == 0
+    assert capsys.readouterr().out == text
+    assert cli_main(argv + ["--json"]) == 0
+    assert capsys.readouterr().out == as_json
+
+
 def test_counterexample_passes(capsys):
     code = cli_main(["counterexample", "--seed", "11", "--trials", "2"])
     assert code == 0
