@@ -257,17 +257,16 @@ def cremona(dv: DivisorClass, i: int, j: int, k: int) -> DivisorClass:
     return DivisorClass(2, dv.d + s, tuple(m))
 
 
-def _reduce_trace(
-    dv: DivisorClass,
-) -> tuple[DivisorClass, list[tuple[DivisorClass, int]], list[tuple[int, int, int]]]:
+def _reduce_trace(dv: DivisorClass) -> tuple[DivisorClass, list[tuple[DivisorClass, int]]]:
     """Cremona reduction with enough bookkeeping to pull strips back.
 
-    Returns (standard_form, strips, history) where each strip is
+    Returns (standard_form, strips) where each strip is
     (class_in_original_basis, magnitude): a fixed part magnitude * W that
     was removed when a multiplicity went negative, with W the exceptional
     class of the moment transported back through the applied quadratic
     transformations (so W is a (-1)-class of the original surface).
-    History lists the applied index triples.
+    The strips are pulled back through the history of applied index
+    triples, which is not returned.
     """
     if dv.ambient_dim != 2:
         raise ValueError("Cremona reduction acts on P^2 classes")
@@ -299,7 +298,7 @@ def _reduce_trace(
         for triple in reversed(history[:depth]):
             part = cremona(part, *triple)
         strips.append((part, -entry))
-    return cur, strips, history
+    return cur, strips
 
 
 def cremona_reduce(dv: DivisorClass) -> tuple[DivisorClass, list[DivisorClass]]:
@@ -312,7 +311,7 @@ def cremona_reduce(dv: DivisorClass) -> tuple[DivisorClass, list[DivisorClass]]:
     padded with multiplicity-0 points so the transformation is defined.
     A final degree < 0 means the class is empty; it is returned as is.
     """
-    std, strips, _ = _reduce_trace(dv)
+    std, strips = _reduce_trace(dv)
     return std, [part for part, _ in strips]
 
 
@@ -416,7 +415,7 @@ def hh_predict_special(dv: DivisorClass) -> HHPrediction:
         raise ValueError("the speciality predictor runs on P^2 classes")
     if any(x < 0 for x in dv.m):
         raise ValueError("the predictor expects nonnegative multiplicities")
-    std, strips, _ = _reduce_trace(dv)
+    std, strips = _reduce_trace(dv)
     expected = max(vdim_planar(dv), -1)
     if std.d < 0:
         predicted = -1

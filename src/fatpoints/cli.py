@@ -1,5 +1,11 @@
 """Command-line interface.
 
+Each reporting command has one handler, bound to its subparser with
+`set_defaults`: `(args) -> (obj, text)`, where `obj` is the command's JSON
+report without the "command" key and `text` its plain output. `_dispatch`
+adds the "command" key and prints one of the two. `counterexample` renders
+its report through `pipeline` and exits 1 when a check fails.
+
 Exit codes: 0 success, 1 a verification check failed or sampling broke
 down, 2 malformed invocation or unparsable literal (messages carry the
 byte offset of the offending character).
@@ -8,6 +14,7 @@ byte offset of the offending character).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -36,7 +43,7 @@ from .pipeline import (
 from .quadricmap import format_quadric_system, parse_quadric_system, restrict_to_quadric, to_planar
 from .syscore import edim_expected, format_system, parse_system, vdim
 
-__all__ = ["cli_main", "main"]
+__all__ = ["cli_main"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,36 +63,45 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    sp = sub.add_parser("vdim", parents=[common], help="virtual dimension of a system")
+    def command(name: str, handler, summary: str, parent=common) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, parents=[parent], help=summary)
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = command("vdim", _vdim, "virtual dimension of a system")
     sp.add_argument("system", help="system literal, e.g. L2(12,3^2,4^8)")
-    sp = sub.add_parser("edim", parents=[common], help="expected dimension max(vdim, -1)")
+    command("edim", _edim, "expected dimension max(vdim, -1)").add_argument("system")
+    command("special", _special, "Monte Carlo speciality verdict", mc).add_argument("system")
+    sp = command("restrict", _restrict, "restrict a P^3 system to the quadric through its points")
     sp.add_argument("system")
-    sp = sub.add_parser("special", parents=[mc], help="Monte Carlo speciality verdict")
-    sp.add_argument("system")
-    sp = sub.add_parser("restrict", parents=[common], help="restrict a P^3 system to the quadric through its points")
-    sp.add_argument("system")
-    sp = sub.add_parser("toplanar", parents=[common], help="planar image of a quadric system, e.g. (9,9;6;4^8)")
+    sp = command("toplanar", _toplanar, "planar image of a quadric system, e.g. (9,9;6;4^8)")
     sp.add_argument("quadric_system")
 
-    sp = sub.add_parser("chow", parents=[common], help="intersection product of divisor classes")
+    sp = command("chow", _chow, "intersection product of divisor classes")
     sp.add_argument("mode", choices=["pair", "triple"], help="pair on blown-up P^2, triple on blown-up P^3")
     sp.add_argument("classes", nargs="+", help="class literals, e.g. [2;1,1^8]")
 
-    sp = sub.add_parser("rr", parents=[common], help="Euler characteristic and virtual dimension of a P^3 class")
+    sp = command("rr", _rr, "Euler characteristic and virtual dimension of a P^3 class")
     sp.add_argument("cls", metavar="class")
-    sp = sub.add_parser("defect", parents=[common], help="speciality defect of a splitting F + M on blown-up P^3")
+    sp = command("defect", _defect, "speciality defect of a splitting F + M on blown-up P^3")
     sp.add_argument("fixed", metavar="F")
     sp.add_argument("mobile", metavar="M")
 
-    sp = sub.add_parser("negcurves", parents=[common], help="enumerate (-1)-classes in a box and pair them against a class")
+    sp = command(
+        "negcurves", _negcurves, "enumerate (-1)-classes in a box and pair them against a class"
+    )
     sp.add_argument("--bounds", required=True, metavar="D,M12,TAIL", help="max degree, max first-two multiplicities, max tail multiplicity")
     sp.add_argument("--full-tail", action="store_true", help="search every tail tuple instead of constant tails only")
     sp.add_argument("--against", required=True, metavar="CLASS")
     sp.add_argument("--threshold", type=int, default=-1, help="flag hits with pairing <= threshold (default -1)")
 
-    sp = sub.add_parser("genus", parents=[common], help="arithmetic genus of a planar class")
+    sp = command("genus", _genus, "arithmetic genus of a planar class")
     sp.add_argument("cls", metavar="class")
-    sp = sub.add_parser("cremona-reduce", parents=[common], help="standard form of a planar class under quadratic transformations")
+    sp = command(
+        "cremona-reduce",
+        _cremona_reduce,
+        "standard form of a planar class under quadratic transformations",
+    )
     sp.add_argument("cls", metavar="class")
 
     sub.add_parser("counterexample", parents=[mc], help="run the full nine-check verification")
@@ -102,206 +118,137 @@ def _mc_config(args) -> RunConfig:
     return resolve_config(cli_vals, config_path=args.config)
 
 
-def _emit(args, obj: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
+def _vdim(args):
+    syst = parse_system(args.system)
+    v = vdim(syst)
+    return {"system": format_system(syst), "vdim": v}, str(v)
+
+
+def _edim(args):
+    syst = parse_system(args.system)
+    e = edim_expected(syst)
+    return {"system": format_system(syst), "edim": e}, str(e)
+
+
+def _special(args):
+    cfg = _mc_config(args)
+    args.json = cfg.output == "json"  # a config file may ask for JSON
+    rep = effective_dim(
+        parse_system(args.system), trials=cfg.trials, seed=cfg.seed, prime=cfg.prime
+    )
+    obj = {
+        "system": format_system(rep.system),
+        "special": rep.special,
+        "vdim": rep.vdim,
+        "edim": rep.edim_actual,
+        "expected_edim": rep.edim_expected,
+        "h0": rep.h0,
+        "rank": rep.rank,
+        "monomials": rep.monomials,
+        "conditions": rep.conditions,
+        "analytic": rep.analytic,
+        "trials": rep.trials,
+        "seed": rep.seed,
+        "prime": rep.prime,
+    }
+    return obj, f"special: {str(rep.special).lower()} (vdim {rep.vdim}, edim {rep.edim_actual})"
+
+
+def _restrict(args):
+    syst = parse_system(args.system)
+    qs = format_quadric_system(restrict_to_quadric(syst))
+    return {"system": format_system(syst), "quadric_system": qs}, qs
+
+
+def _toplanar(args):
+    qs = parse_quadric_system(args.quadric_system)
+    img = to_planar(qs)
+    obj = {
+        "quadric_system": format_quadric_system(qs),
+        "planar": format_system(img),
+        "effective_multiplicities": not img.has_negative,
+    }
+    note = "  (negative multiplicity: not effective as written)" if img.has_negative else ""
+    return obj, format_system(img) + note
+
+
+def _chow(args):
+    ambient = 2 if args.mode == "pair" else 3  # also the number of classes
+    if len(args.classes) != ambient:
+        raise ValueError(f"chow {args.mode} needs exactly {ambient} classes, got {len(args.classes)}")
+    classes = [parse_class(t, ambient) for t in args.classes]
+    ctx = ChowContext(ambient, classes[0].npoints)
+    product = intersect2(ctx, *classes) if ambient == 2 else intersect3(ctx, *classes)
+    obj = {"mode": args.mode, "classes": [format_class(c) for c in classes], "product": product}
+    return obj, str(product)
+
+
+def _rr(args):
+    cls = parse_class(args.cls, 3)
+    ctx = ChowContext(3, cls.npoints)
+    chi, v = chi_rr(ctx, cls), vdim_rr(ctx, cls)
+    return {"class": format_class(cls), "chi": chi, "vdim": v}, f"chi: {chi}\nvdim: {v}"
+
+
+def _defect(args):
+    fixed = parse_class(args.fixed, 3)
+    mobile = parse_class(args.mobile, 3)
+    d = speciality_defect(ChowContext(3, fixed.npoints), fixed, mobile)
+    return {"fixed": format_class(fixed), "mobile": format_class(mobile), "defect": d}, str(d)
+
+
+def _negcurves(args):
+    parts = args.bounds.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"--bounds wants D,M12,TAIL, got {args.bounds!r}")
+    try:
+        d_max, m12_max, tail_max = (int(x) for x in parts)
+    except ValueError:
+        raise ValueError(f"--bounds entries must be integers, got {args.bounds!r}")
+    bounds = EnumBounds(d_max, m12_max, tail_max, symmetric_tail=not args.full_tail)
+    against = parse_class(args.against, 2)
+    hits = enumerate_neg_curves(bounds, against, args.threshold)
+    obj = {
+        "bounds": dataclasses.asdict(bounds),
+        "against": format_class(against),
+        "threshold": args.threshold,
+        "hits": [
+            {"class": format_class(h.cls), "pairing": h.pairing, "flagged": h.flagged}
+            for h in hits
+        ],
+    }
+    lines = [
+        f"{format_class(h.cls)}  pairing {h.pairing}" + ("  FLAGGED" if h.flagged else "")
+        for h in hits
+    ] or ["no (-1)-classes in bounds"]
+    return obj, "\n".join(lines)
+
+
+def _genus(args):
+    cls = parse_class(args.cls, 2)
+    g = genus_planar(cls)
+    return {"class": format_class(cls), "genus": g}, str(g)
+
+
+def _cremona_reduce(args):
+    cls = parse_class(args.cls, 2)
+    std, strips = cremona_reduce(cls)
+    stripped = [format_class(s) for s in strips]
+    obj = {"class": format_class(cls), "standard": format_class(std), "stripped": stripped}
+    return obj, "\n".join([f"standard: {format_class(std)}"] + [f"stripped: {s}" for s in stripped])
 
 
 def _dispatch(args) -> int:
-    cmd = args.command
-
-    if cmd == "vdim":
-        syst = parse_system(args.system)
-        v = vdim(syst)
-        _emit(args, {"command": "vdim", "system": format_system(syst), "vdim": v}, str(v))
-        return 0
-
-    if cmd == "edim":
-        syst = parse_system(args.system)
-        e = edim_expected(syst)
-        _emit(args, {"command": "edim", "system": format_system(syst), "edim": e}, str(e))
-        return 0
-
-    if cmd == "special":
-        cfg = _mc_config(args)
-        args.json = cfg.output == "json"
-        rep = effective_dim(
-            parse_system(args.system), trials=cfg.trials, seed=cfg.seed, prime=cfg.prime
-        )
-        obj = {
-            "command": "special",
-            "system": format_system(rep.system),
-            "special": rep.special,
-            "vdim": rep.vdim,
-            "edim": rep.edim_actual,
-            "expected_edim": rep.edim_expected,
-            "h0": rep.h0,
-            "rank": rep.rank,
-            "monomials": rep.monomials,
-            "conditions": rep.conditions,
-            "analytic": rep.analytic,
-            "trials": rep.trials,
-            "seed": rep.seed,
-            "prime": rep.prime,
-        }
-        text = f"special: {str(rep.special).lower()} (vdim {rep.vdim}, edim {rep.edim_actual})"
-        _emit(args, obj, text)
-        return 0
-
-    if cmd == "restrict":
-        syst = parse_system(args.system)
-        qs = restrict_to_quadric(syst)
-        _emit(
-            args,
-            {
-                "command": "restrict",
-                "system": format_system(syst),
-                "quadric_system": format_quadric_system(qs),
-            },
-            format_quadric_system(qs),
-        )
-        return 0
-
-    if cmd == "toplanar":
-        qs = parse_quadric_system(args.quadric_system)
-        img = to_planar(qs)
-        text = format_system(img)
-        if img.has_negative:
-            text += "  (negative multiplicity: not effective as written)"
-        _emit(
-            args,
-            {
-                "command": "toplanar",
-                "quadric_system": format_quadric_system(qs),
-                "planar": format_system(img),
-                "effective_multiplicities": not img.has_negative,
-            },
-            text,
-        )
-        return 0
-
-    if cmd == "chow":
-        ambient = 2 if args.mode == "pair" else 3  # also the number of classes
-        if len(args.classes) != ambient:
-            raise ValueError(f"chow {args.mode} needs exactly {ambient} classes, got {len(args.classes)}")
-        classes = [parse_class(t, ambient) for t in args.classes]
-        ctx = ChowContext(ambient, classes[0].npoints)
-        if args.mode == "pair":
-            product = intersect2(ctx, classes[0], classes[1])
-        else:
-            product = intersect3(ctx, classes[0], classes[1], classes[2])
-        _emit(
-            args,
-            {
-                "command": "chow",
-                "mode": args.mode,
-                "classes": [format_class(c) for c in classes],
-                "product": product,
-            },
-            str(product),
-        )
-        return 0
-
-    if cmd == "rr":
-        cls = parse_class(args.cls, 3)
-        ctx = ChowContext(3, cls.npoints)
-        chi = chi_rr(ctx, cls)
-        v = vdim_rr(ctx, cls)
-        _emit(
-            args,
-            {"command": "rr", "class": format_class(cls), "chi": chi, "vdim": v},
-            f"chi: {chi}\nvdim: {v}",
-        )
-        return 0
-
-    if cmd == "defect":
-        fixed = parse_class(args.fixed, 3)
-        mobile = parse_class(args.mobile, 3)
-        ctx = ChowContext(3, fixed.npoints)
-        d = speciality_defect(ctx, fixed, mobile)
-        _emit(
-            args,
-            {
-                "command": "defect",
-                "fixed": format_class(fixed),
-                "mobile": format_class(mobile),
-                "defect": d,
-            },
-            str(d),
-        )
-        return 0
-
-    if cmd == "negcurves":
-        parts = args.bounds.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"--bounds wants D,M12,TAIL, got {args.bounds!r}")
-        try:
-            d_max, m12_max, tail_max = (int(x) for x in parts)
-        except ValueError:
-            raise ValueError(f"--bounds entries must be integers, got {args.bounds!r}")
-        bounds = EnumBounds(d_max, m12_max, tail_max, symmetric_tail=not args.full_tail)
-        against = parse_class(args.against, 2)
-        hits = enumerate_neg_curves(bounds, against, args.threshold)
-        lines = [
-            f"{format_class(h.cls)}  pairing {h.pairing}" + ("  FLAGGED" if h.flagged else "")
-            for h in hits
-        ] or ["no (-1)-classes in bounds"]
-        _emit(
-            args,
-            {
-                "command": "negcurves",
-                "bounds": {
-                    "d_max": d_max,
-                    "m12_max": m12_max,
-                    "tail_max": tail_max,
-                    "symmetric_tail": not args.full_tail,
-                },
-                "against": format_class(against),
-                "threshold": args.threshold,
-                "hits": [
-                    {"class": format_class(h.cls), "pairing": h.pairing, "flagged": h.flagged}
-                    for h in hits
-                ],
-            },
-            "\n".join(lines),
-        )
-        return 0
-
-    if cmd == "genus":
-        cls = parse_class(args.cls, 2)
-        g = genus_planar(cls)
-        _emit(args, {"command": "genus", "class": format_class(cls), "genus": g}, str(g))
-        return 0
-
-    if cmd == "cremona-reduce":
-        cls = parse_class(args.cls, 2)
-        std, strips = cremona_reduce(cls)
-        lines = [f"standard: {format_class(std)}"]
-        lines += [f"stripped: {format_class(s)}" for s in strips]
-        _emit(
-            args,
-            {
-                "command": "cremona-reduce",
-                "class": format_class(cls),
-                "standard": format_class(std),
-                "stripped": [format_class(s) for s in strips],
-            },
-            "\n".join(lines),
-        )
-        return 0
-
-    if cmd == "counterexample":
+    if args.command == "counterexample":
         cfg = _mc_config(args)
         report = run_counterexample(cfg)
-        if cfg.output == "json":
-            sys.stdout.write(report_to_json(report))
-        else:
-            sys.stdout.write(render_text(report))
+        sys.stdout.write(report_to_json(report) if cfg.output == "json" else render_text(report))
         return 0 if report.verdict else 1
-
-    raise AssertionError(f"unhandled command {cmd!r}")
+    obj, text = args.handler(args)
+    if args.json:
+        text = json.dumps({"command": args.command, **obj}, indent=2, sort_keys=True)
+    print(text)
+    return 0
 
 
 def cli_main(argv=None) -> int:
@@ -315,7 +262,3 @@ def cli_main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return cli_main(argv)

@@ -441,8 +441,15 @@ def fixed_component_test(
     """
     if seed is None:
         seed = secrets.randbits(64)
-    full = effective_dim(sys, trials=trials, seed=seed, prime=prime, constraints=constraints)
-    rest = effective_dim(
-        residual(sys, fixed), trials=trials, seed=seed, prime=prime, constraints=constraints
-    )
+    full, rest = _peel(sys, fixed, constraints, trials=trials, seed=seed, prime=prime)
     return full.h0 == rest.h0
+
+
+def _peel(sys: FatPointSystem, fixed: FatPointSystem, constraints=None, **mc):
+    """The reports of `sys` and of its residual after `fixed`, in that order,
+    ranked with the same `effective_dim` settings `mc` and constraints, so on
+    identical point draws for a set seed. Equal h0 means `fixed` divides
+    every member of `sys` (see `fixed_component_test`)."""
+    full = effective_dim(sys, constraints=constraints, **mc)
+    rest = effective_dim(residual(sys, fixed), constraints=constraints, **mc)
+    return full, rest

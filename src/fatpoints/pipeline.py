@@ -26,9 +26,9 @@ from .blowup import (
     speciality_defect,
 )
 from .gfprime import DEFAULT_PRIME, PrimeField
-from .interp import OnQuadric, effective_dim
+from .interp import OnQuadric, _peel, effective_dim
 from .quadricmap import restrict_to_quadric, to_planar
-from .syscore import FatPointSystem, format_system, parse_system, residual, vdim
+from .syscore import FatPointSystem, format_system, parse_system, vdim
 
 __all__ = [
     "RunConfig",
@@ -139,15 +139,10 @@ def run_counterexample(cfg: RunConfig) -> CounterexampleReport:
         rank_based=True,
     )
 
-    # `fixed` divides every member of `sys` exactly when the two reports
-    # agree on h0, the rule of `interp.fixed_component_test`
-    def peel(sys: FatPointSystem, fixed: FatPointSystem, constraints=None):
-        full = effective_dim(sys, constraints=constraints, **mc)
-        rest = effective_dim(residual(sys, fixed), constraints=constraints, **mc)
-        return full, rest
-
-    # 3. the quadric through the nine points is fixed, and the system is special
-    rep9, rep7 = peel(parse_system("L3(9,6,4^8)"), parse_system("L3(2,1,1^8)"))
+    # 3. the quadric through the nine points is fixed, and the system is special;
+    # checks 3-5 read a fixed component from the two h0 of `_peel`, the rule
+    # of `interp.fixed_component_test`
+    rep9, rep7 = _peel(parse_system("L3(9,6,4^8)"), parse_system("L3(2,1,1^8)"), **mc)
     add(
         "quadric-fixed-component",
         "the unique quadric through the nine points divides every member, "
@@ -166,10 +161,11 @@ def run_counterexample(cfg: RunConfig) -> CounterexampleReport:
     # quadric; the quadric (now through ten points) still splits off and the
     # residual matches the general-position count of L3(5,4,2^8)
     on_q = OnQuadric(through=tuple(range(9)))
-    rep_ext7, rep_res7 = peel(
+    rep_ext7, rep_res7 = _peel(
         FatPointSystem(3, 7, (5,) + (3,) * 8 + (1,)),
         FatPointSystem(3, 2, (1,) * 10),
         (None,) * 9 + (on_q,),
+        **mc,
     )
     rep5 = effective_dim(parse_system("L3(5,4,2^8)"), **mc)
     add(
@@ -186,10 +182,11 @@ def run_counterexample(cfg: RunConfig) -> CounterexampleReport:
     )
 
     # 5. second peel with two contact points on the same quadric
-    rep_ext5, rep_res5 = peel(
+    rep_ext5, rep_res5 = _peel(
         FatPointSystem(3, 5, (4,) + (2,) * 8 + (1, 1)),
         FatPointSystem(3, 2, (1,) * 11),
         (None,) * 9 + (on_q, on_q),
+        **mc,
     )
     rep3 = effective_dim(parse_system("L3(3,3,1^8)"), **mc)
     add(

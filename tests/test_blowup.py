@@ -301,11 +301,11 @@ def test_predictor_rejects_a_witness_that_does_not_divide(monkeypatch):
     """A stripped part that is not magnitude times a class is an arithmetic
     fault in the reduction; it raises even under python -O."""
     dv = parse_class("[2;2^2]", 2)
-    std, strips, history = blowup._reduce_trace(dv)
+    std, strips = blowup._reduce_trace(dv)
     part, magnitude = strips[0]
     assert magnitude >= 2
     bad = DivisorClass(2, part.d * magnitude + 1, tuple(x * magnitude for x in part.m))
-    monkeypatch.setattr(blowup, "_reduce_trace", lambda _: (std, [(bad, magnitude)], history))
+    monkeypatch.setattr(blowup, "_reduce_trace", lambda _: (std, [(bad, magnitude)]))
     with pytest.raises(ArithmeticError, match="is not 2 times a class"):
         hh_predict_special(dv)
 

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +19,8 @@ from fatpoints.gfprime import PrimeFieldMatrix
 from fatpoints.interp import VirtualBoundError, effective_dim
 from fatpoints.pipeline import RunConfig, run_counterexample
 from fatpoints.syscore import parse_system
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_arguments_is_a_usage_error():
@@ -547,9 +554,25 @@ def test_missing_config_file_is_a_usage_error(capsys):
     assert code == 2
 
 
-def test_module_entry_point():
-    import fatpoints.__main__  # noqa: F401  (importable without running)
+def test_script_entry_point_runs():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    module, _, name = project["scripts"]["fatpoints"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry(["vdim", "L2(1)"]) == 0
 
-    from fatpoints.cli import main
 
-    assert main(["vdim", "L2(1)"]) == 0
+def test_module_run_exits_through_sys_exit():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fatpoints", "vdim", "L2(3,,1)"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
