@@ -265,8 +265,6 @@ def _reduce_trace(dv: DivisorClass) -> tuple[DivisorClass, list[tuple[DivisorCla
     was removed when a multiplicity went negative, with W the exceptional
     class of the moment transported back through the applied quadratic
     transformations (so W is a (-1)-class of the original surface).
-    The strips are pulled back through the history of applied index
-    triples, which is not returned.
     """
     if dv.ambient_dim != 2:
         raise ValueError("Cremona reduction acts on P^2 classes")
