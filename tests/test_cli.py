@@ -80,15 +80,6 @@ def test_special_runs_with_every_flag(tmp_path, capsys):
     assert (payload["prime"], payload["trials"], payload["seed"]) == (101, 1, 3)
 
 
-def test_vdim_and_edim(capsys):
-    assert cli_main(["vdim", "L3(4,2^9)"]) == 0
-    assert capsys.readouterr().out == "-2\n"
-    assert cli_main(["edim", "L3(4,2^9)"]) == 0
-    assert capsys.readouterr().out == "-1\n"
-    assert cli_main(["vdim", "L2(12,3^2,4^8)"]) == 0
-    assert capsys.readouterr().out == "-2\n"
-
-
 def test_special_text_output(capsys):
     code = cli_main(["special", "L3(9,6,4^8)", "--seed", "3", "--trials", "2"])
     assert code == 0
@@ -105,13 +96,6 @@ def test_special_json_output(capsys):
     assert payload["command"] == "special"
 
 
-def test_restrict_and_toplanar(capsys):
-    assert cli_main(["restrict", "L3(9,6,4^8)"]) == 0
-    assert capsys.readouterr().out == "(9,9;6;4^8)\n"
-    assert cli_main(["toplanar", "(9,9;6;4^8)"]) == 0
-    assert capsys.readouterr().out == "L2(12,3^2,4^8)\n"
-
-
 def test_toplanar_flags_negative_multiplicities(capsys):
     assert cli_main(["toplanar", "(5,2;4;1,1)"]) == 0
     out = capsys.readouterr().out
@@ -119,15 +103,6 @@ def test_toplanar_flags_negative_multiplicities(capsys):
     assert cli_main(["toplanar", "(5,2;4;1,1)", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["effective_multiplicities"] is False
-
-
-def test_chow_products(capsys):
-    code = cli_main(["chow", "triple", "[9;6,4^8]", "[9;6,4^8]", "[9;6,4^8]"])
-    assert code == 0
-    assert capsys.readouterr().out == "1\n"
-    code = cli_main(["chow", "pair", "[12;3^2,4^8]", "[12;3^2,4^8]"])
-    assert code == 0
-    assert capsys.readouterr().out == "-2\n"
 
 
 def test_chow_arity_is_a_usage_error(capsys):
@@ -142,15 +117,6 @@ def test_parse_errors_carry_byte_offsets(capsys):
     err = capsys.readouterr().err
     assert "byte" in err
     assert "5" in err
-
-
-def test_rr_and_defect(capsys):
-    assert cli_main(["rr", "[7;5,3^8]"]) == 0
-    assert capsys.readouterr().out == "chi: 5\nvdim: 4\n"
-    assert cli_main(["defect", "[2;1^9]", "[7;5,3^8]"]) == 0
-    assert capsys.readouterr().out == "-1\n"
-    assert cli_main(["defect", "[4;2^9]", "[0;0^9]"]) == 0
-    assert capsys.readouterr().out == "-2\n"
 
 
 def test_negcurves(capsys):
@@ -173,13 +139,6 @@ def test_negcurves_bounds_validation(capsys):
     assert cli_main(["negcurves", "--bounds", "a,b,c", "--against", "[2;1,1]"]) == 2
 
 
-def test_genus_and_cremona(capsys):
-    assert cli_main(["genus", "[9;2^2,3^8]"]) == 0
-    assert capsys.readouterr().out == "2\n"
-    assert cli_main(["cremona-reduce", "[3;1^9]"]) == 0
-    assert capsys.readouterr().out == "standard: [3;1^9]\n"
-
-
 # The exact stdout of every reporting command, as text and under --json:
 # (argv, text, json).  Literal strings, so a change shows as a diff.
 PINNED_OUTPUTS = [
@@ -191,6 +150,17 @@ PINNED_OUTPUTS = [
   "command": "vdim",
   "system": "L3(9,6,4^8)",
   "vdim": 3
+}
+""",
+    ),
+    (
+        ["vdim", "L2(12,3^2,4^8)"],
+        "-2\n",
+        """\
+{
+  "command": "vdim",
+  "system": "L2(12,3^2,4^8)",
+  "vdim": -2
 }
 """,
     ),
@@ -294,6 +264,22 @@ PINNED_OUTPUTS = [
 """,
     ),
     (
+        ["chow", "triple", "[9;6,4^8]", "[9;6,4^8]", "[9;6,4^8]"],
+        "1\n",
+        """\
+{
+  "classes": [
+    "[9;6,4^8]",
+    "[9;6,4^8]",
+    "[9;6,4^8]"
+  ],
+  "command": "chow",
+  "mode": "triple",
+  "product": 1
+}
+""",
+    ),
+    (
         ["rr", "[7;5,3^8]"],
         """\
 chi: 5
@@ -317,6 +303,18 @@ vdim: 4
   "defect": -1,
   "fixed": "[2;1^9]",
   "mobile": "[7;5,3^8]"
+}
+""",
+    ),
+    (
+        ["defect", "[4;2^9]", "[0;0^9]"],
+        "-2\n",
+        """\
+{
+  "command": "defect",
+  "defect": -2,
+  "fixed": "[4;2^9]",
+  "mobile": "[0;0^9]"
 }
 """,
     ),
@@ -425,6 +423,18 @@ stripped: [2;2^2,0]
   "stripped": [
     "[2;2^2,0]"
   ]
+}
+""",
+    ),
+    (
+        ["cremona-reduce", "[3;1^9]"],
+        "standard: [3;1^9]\n",
+        """\
+{
+  "class": "[3;1^9]",
+  "command": "cremona-reduce",
+  "standard": "[3;1^9]",
+  "stripped": []
 }
 """,
     ),
