@@ -519,12 +519,8 @@ def test_effective_dim_spends_each_trial_matrix_through_rank(monkeypatch):
     assert rep.rank == 14
 
 
-def test_criterion_8_matrix_pivots_are_its_first_4200_columns():
-    """The first trial of the criterion-8 rank, L3(30,5^120) at seed 20248:
+def test_criterion_8_matrix_pivots_are_its_first_4200_columns(criterion_8_run):
+    """The one trial of the criterion-8 rank, L3(30,5^120) at seed 20248:
     its 4200 x 5456 matrix has pivots exactly in columns 0-4199, so every
     update of its elimination reads its multipliers in place."""
-    sys = FatPointSystem(3, 30, (5,) * 120)
-    field = PrimeField(DEFAULT_PRIME)
-    child = np.random.SeedSequence(20248).spawn(1)[0]
-    pts = _draw_points(sys.npoints, 3, field, np.random.default_rng(child), None)
-    assert _system_matrix(sys, pts, field).pivot_columns() == list(range(4200))
+    assert criterion_8_run.pivots == [list(range(4200))]
