@@ -37,9 +37,6 @@ __all__ = [
     "run_counterexample",
     "render_text",
     "report_to_json",
-    "report_from_json",
-    "parse_config_file",
-    "resolve_config",
 ]
 
 
@@ -345,26 +342,6 @@ def report_to_json(report: CounterexampleReport) -> str:
         "verdict": "pass" if report.verdict else "fail",
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def report_from_json(text: str) -> CounterexampleReport:
-    obj = json.loads(text)
-    cfg = RunConfig(**obj["config"])
-    checks = tuple(
-        CheckResult(
-            check_id=c["id"],
-            description=c["description"],
-            expected=c["expected"],
-            observed=c["observed"],
-            passed=c["pass"],
-            note=c.get("note"),
-        )
-        for c in obj["checks"]
-    )
-    report = CounterexampleReport(config=cfg, checks=checks)
-    if obj["verdict"] != ("pass" if report.verdict else "fail"):
-        raise ValueError("verdict does not match the per-check outcomes")
-    return report
 
 
 def parse_config_file(path: str) -> dict:

@@ -10,11 +10,12 @@ dimension clamps that at -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "FatPointSystem",
     "SystemParseError",
+    "conditions_at_point",
     "vdim",
     "edim_expected",
     "residual",
@@ -38,17 +39,14 @@ def conditions_at_point(m: int, n: int) -> int:
 class FatPointSystem:
     """A linear system L_n(d, m1, m2, ...) with one entry per base point.
 
-    `clamped` records that the system arose from a residual computation
-    in which some multiplicity was truncated at 0; it does not take part
-    in equality.  Negative multiplicities are accepted by the constructor
-    (they arise as images of divisor-class operations) but impose no
-    conditions; the text grammar only produces nonnegative ones.
+    Negative multiplicities are accepted by the constructor (they arise
+    as images of divisor-class operations) but impose no conditions; the
+    text grammar only produces nonnegative ones.
     """
 
     ambient_dim: int
     degree: int
     mults: tuple[int, ...] = ()
-    clamped: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
@@ -89,8 +87,7 @@ def residual(sys: FatPointSystem, fixed: FatPointSystem) -> FatPointSystem:
     """Subtract a fixed divisor: degree drops by fixed.degree, each
     multiplicity by the corresponding entry, truncated at 0.
 
-    Truncation is reported through the `clamped` flag on the result; the
-    divisor-class subtraction in the blow-up module deliberately keeps
+    The divisor-class subtraction in the blow-up module deliberately keeps
     negative entries instead.  Shorter multiplicity lists are padded with
     zeros, so a fixed divisor may be subtracted from a system with extra
     base points.
@@ -106,15 +103,8 @@ def residual(sys: FatPointSystem, fixed: FatPointSystem) -> FatPointSystem:
     r = max(sys.npoints, fixed.npoints)
     a = sys.mults + (0,) * (r - sys.npoints)
     b = fixed.mults + (0,) * (r - fixed.npoints)
-    out = []
-    clamped = False
-    for ma, mb in zip(a, b):
-        diff = ma - mb
-        if diff < 0:
-            clamped = True
-            diff = 0
-        out.append(diff)
-    return FatPointSystem(sys.ambient_dim, sys.degree - fixed.degree, tuple(out), clamped)
+    out = tuple(max(ma - mb, 0) for ma, mb in zip(a, b))
+    return FatPointSystem(sys.ambient_dim, sys.degree - fixed.degree, out)
 
 
 # Longest multiplicity list a literal may expand to; no rank the engine

@@ -16,7 +16,6 @@ from fatpoints.pipeline import (
     RunConfig,
     parse_config_file,
     render_text,
-    report_from_json,
     report_to_json,
     resolve_config,
     run_counterexample,
@@ -58,17 +57,15 @@ def test_all_checks_pass_at_fixed_seed():
     assert report.verdict is True
 
 
-def test_report_is_deterministic_and_round_trips():
+def test_report_json_is_deterministic():
     a = run_counterexample(RunConfig(seed=99))
     b = run_counterexample(RunConfig(seed=99))
     ja = report_to_json(a)
     jb = report_to_json(b)
     assert ja == jb
     assert ja.endswith("\n")
-    back = report_from_json(ja)
-    assert back.verdict == a.verdict
-    assert [c.check_id for c in back.checks] == EXPECTED_CHECK_IDS
     payload = json.loads(ja)
+    assert [c["id"] for c in payload["checks"]] == EXPECTED_CHECK_IDS
     assert payload["verdict"] == "pass"
     assert payload["config"]["seed"] == 99
     assert payload["config"]["prime"] == DEFAULT_PRIME
@@ -166,14 +163,6 @@ def test_failed_checks_flip_the_verdict_and_render():
     assert payload["verdict"] == "fail"
     assert payload["checks"][0]["note"] == "sampler degeneracy suspected"
     assert "note" not in payload["checks"][1]
-
-
-def test_report_from_json_rejects_inconsistent_verdict():
-    report = run_counterexample(RunConfig(seed=5))
-    payload = json.loads(report_to_json(report))
-    payload["verdict"] = "fail"
-    with pytest.raises(ValueError):
-        report_from_json(json.dumps(payload))
 
 
 def test_parse_config_file(tmp_path):

@@ -148,10 +148,8 @@ def test_residual_subtracts_degree_and_clamps_multiplicities():
     quad = parse_system("L3(2,1,1^8)")
     res = residual(big, quad)
     assert res == FatPointSystem(3, 7, (5,) + (3,) * 8)
-    assert not res.clamped
     over = residual(parse_system("L3(3,1,2)"), parse_system("L3(1,2,1)"))
     assert over.mults == (0, 1)
-    assert over.clamped
 
 
 def test_residual_pads_shorter_fixed_part():
@@ -171,9 +169,8 @@ def test_residual_rejects_bad_inputs():
 def test_residual_pads_system_side_too():
     res = residual(parse_system("L2(3,1)"), parse_system("L2(1,1^4)"))
     assert res == FatPointSystem(2, 2, (0, 0, 0, 0))
-    assert res.clamped
     same = residual(parse_system("L3(4,2^9)"), parse_system("L3(4,2^9)"))
-    assert same.degree == 0 and set(same.mults) == {0} and not same.clamped
+    assert same.degree == 0 and set(same.mults) == {0}
 
 
 def test_negative_multiplicities_flagged_not_rejected():
