@@ -15,7 +15,6 @@ and no operation clamps.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 from .syscore import _Scanner, _compressed

@@ -307,12 +307,13 @@ def _condsub(v: np.ndarray, p: int) -> np.ndarray:
 
 # Dot products on 21-bit limbs.  A residue is split into as few limbs as
 # keep every product of limbs, or of Karatsuba sums of two limbs, below 2**44,
-# so that 2**9 of them sum exactly in a float64 GEMM: the residue itself for
-# p <= 2**22, two limbs for p < 2**42 and three below 2**62.  The exact
-# products are accumulated in uint64 across k-chunks; up to k = 2**17 every
-# sum, and every limb part formed from them, stays below 2**61.
+# so that _CHUNK_K = 2**9 of them sum exactly in a float64 GEMM: the residue
+# itself for p <= 2**22, two limbs for p < 2**42 and three below 2**62.  The
+# exact products are accumulated in uint64 across k-chunks; up to k = 2**17
+# every sum, and every limb part formed from them, stays below 2**61.
 _LIMB_BITS = 21
 _LIMB_PRODUCT_BITS = 44
+_CHUNK_K = 1 << (53 - _LIMB_PRODUCT_BITS)
 _ACC_K = 1 << (61 - _LIMB_PRODUCT_BITS)
 
 
@@ -330,8 +331,6 @@ class _Kernel:
     calls, because faulting in fresh pages for every temporary costs more
     than the arithmetic done in them.
     """
-
-    chunk_k = 512  # sums of 512 products below 2**44 stay < 2**53
 
     def __init__(self, p: int):
         self.p = p
@@ -405,8 +404,6 @@ class _Kernel:
         cache.  Limbs and their sums are below 2**22, so float64 holds them
         and their sums and differences exactly.
         """
-        if self.chunk_k << _LIMB_PRODUCT_BITS > 1 << 53:
-            raise ValueError(f"chunk_k {self.chunk_k} breaks float64 exactness of limb products")
         m, k = x.shape
         if k > _ACC_K:
             raise ValueError(f"inner dimension {k} exceeds the accumulator bound {_ACC_K}")
@@ -415,11 +412,11 @@ class _Kernel:
         nprod = nl + len(self._pairs)
         for w0 in range(0, n, _STRIPE):
             w1 = min(w0 + _STRIPE, n)
-            rows = max(1, _TILE // max(w1 - w0, self.chunk_k))  # bounds x tiles too
+            rows = max(1, _TILE // max(w1 - w0, _CHUNK_K))  # bounds x tiles too
             acc = self._buf("acc", (self._nacc, m, w1 - w0), np.uint64)
             acc_i64 = acc.view(np.int64)  # float64 -> int64 converts faster than -> uint64
-            for k0 in range(0, k, self.chunk_k):
-                k1 = min(k0 + self.chunk_k, k)
+            for k0 in range(0, k, _CHUNK_K):
+                k1 = min(k0 + _CHUNK_K, k)
                 # the limbs y_i, then the Karatsuba sums y_i + y_j
                 ys = self._buf("y", (nprod, k1 - k0, w1 - w0), np.float64)
                 self._limbs(y[k0:k1, w0:w1], ys)

@@ -194,18 +194,6 @@ def _monomial_values(pts: list[SamplePoint], n: int, d: int, p: int) -> np.ndarr
     return values
 
 
-def _condition_blocks(values: np.ndarray, m: int, n: int, d: int, p: int) -> np.ndarray:
-    """The C(m+n-1, n) x C(d+n, n) derivative-condition blocks of order m at
-    the points whose monomial values are the rows of `values`, stacked along
-    a leading axis.
-
-    Rows follow the graded-lex order of derivative multi-indices of order
-    < m; columns follow monomial_exponents(n, d).
-    """
-    f, idx = _derivative_pattern(n, m, d, p)
-    return mulmod_vec(f, values[:, idx], p)
-
-
 # Draws of one trial's points before a degenerate configuration is an error.
 _DRAW_ATTEMPTS = 8
 # Random lines tried for one point on a quadric before QuadricSampleError.
@@ -256,7 +244,8 @@ def _system_matrix(
     sys: FatPointSystem, pts: list[SamplePoint], field: PrimeField
 ) -> PrimeFieldMatrix:
     """The stacked condition matrix: one block per point with multiplicity
-    >= 1, in point order.  Points of equal multiplicity are built together.
+    >= 1, in point order.  Points of equal multiplicity are built together,
+    each block as F * V[idx] from _derivative_pattern.
 
     The matrix belongs to one trial, so its rank() eliminates it in place
     and spends it (see PrimeFieldMatrix._consumable)."""
@@ -266,12 +255,13 @@ def _system_matrix(
     out = np.empty((int(starts[-1]), math.comb(d + n, n)), dtype=np.uint64)
     values = _monomial_values(pts, n, d, p)
     for m in sorted({m for m in sys.mults if m >= 1}):
+        f, idx = _derivative_pattern(n, m, d, p)
         members = [i for i, mi in enumerate(sys.mults) if mi == m]
         per_call = max(1, _BUILD_BATCH // (heights[members[0]] * out.shape[1]))
         for g0 in range(0, len(members), per_call):
             group = members[g0 : g0 + per_call]
             rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in group])
-            out[rows] = _condition_blocks(values[group], m, n, d, p).reshape(rows.size, -1)
+            out[rows] = mulmod_vec(f, values[group][:, idx], p).reshape(rows.size, -1)
     return PrimeFieldMatrix._consumable(field, out)
 
 

@@ -317,9 +317,6 @@ def test_m61_kernel_bounds_raise():
     k = gfprime._ACC_K + 1
     with pytest.raises(ValueError, match="accumulator bound"):
         kern.matmul_mod(np.zeros((1, k), dtype=np.uint64), np.zeros((k, 1), dtype=np.uint64))
-    kern.chunk_k = 1024  # 1024 products of 22-bit limb sums can reach 2**54
-    with pytest.raises(ValueError, match="exactness"):
-        kern.matmul_mod(np.ones((1, 2), dtype=np.uint64), np.ones((2, 1), dtype=np.uint64))
 
 
 def test_m61_recombination_reduces_extreme_parts():
@@ -339,7 +336,7 @@ def test_pivot_trace_across_chunk_and_stripe_boundaries(monkeypatch):
     """The blocked engine at M61 with tiny chunk, stripe, tile and trsm sizes,
     so a small matrix crosses every boundary many times, against the
     classical elimination on Python integers."""
-    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+    monkeypatch.setattr(gfprime, "_CHUNK_K", 8)
     monkeypatch.setattr(gfprime, "_STRIPE", 16)
     monkeypatch.setattr(gfprime, "_TILE", 40)
     monkeypatch.setattr(gfprime, "_TRSM_LEAF", 4)
@@ -356,7 +353,7 @@ def test_pivot_trace_across_chunk_and_stripe_boundaries(monkeypatch):
 
 def test_pivot_trace_of_a_planted_rank_profile_at_full_size():
     """A 640 x 2100 matrix with a known column rank profile, large enough to
-    cross the real chunk_k (512) and _STRIPE (1024): the pivot trace must be
+    cross the real _CHUNK_K (512) and _STRIPE (1024): the pivot trace must be
     exactly the planted profile.
 
     A = L @ E mod p, with E (600 x 2100) in row echelon form with pivots at
@@ -367,7 +364,7 @@ def test_pivot_trace_of_a_planted_rank_profile_at_full_size():
     rng = np.random.default_rng(29)
     m, n, r = 640, 2100, 600
     # 530 pivots left of the first split at column 1050, so the update below
-    # it has an inner dimension past chunk_k and a width past _STRIPE
+    # it has an inner dimension past _CHUNK_K and a width past _STRIPE
     left = rng.choice(1050, size=530, replace=False)
     right = 1050 + rng.choice(1050, size=70, replace=False)
     profile = np.sort(np.concatenate([left, right]))
@@ -578,7 +575,7 @@ def test_kernel_gemm_sub_in_row_blocks(p, acc_max, monkeypatch):
     when acc_max = 1), crossing chunk and stripe boundaries too."""
     monkeypatch.setattr(gfprime, "_ACC_MAX", acc_max)
     monkeypatch.setattr(gfprime, "_STRIPE", 16)
-    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+    monkeypatch.setattr(gfprime, "_CHUNK_K", 8)
     rng = np.random.default_rng(acc_max)
     m, k, n = 37, 20, 50
     a = _residues_mod(p, rng, (k + m, k + n), "random")
@@ -595,7 +592,7 @@ def test_pivot_trace_at_every_limb_count(p, monkeypatch):
     """The blocked engine with tiny chunk, stripe, tile and trsm sizes, so a
     small matrix crosses every boundary many times, against the classical
     elimination on Python integers."""
-    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+    monkeypatch.setattr(gfprime, "_CHUNK_K", 8)
     monkeypatch.setattr(gfprime, "_STRIPE", 16)
     monkeypatch.setattr(gfprime, "_TILE", 40)
     monkeypatch.setattr(gfprime, "_TRSM_LEAF", 4)
@@ -625,7 +622,7 @@ def _shrunk(monkeypatch):
     monkeypatch.setattr(gfprime, "_TRSM_LEAF", 4)
     monkeypatch.setattr(gfprime, "_STRIPE", 16)
     monkeypatch.setattr(gfprime, "_ACC_MAX", 512)
-    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+    monkeypatch.setattr(gfprime, "_CHUNK_K", 8)
 
 
 def _planted(rng, p, m, n, profile):
@@ -910,7 +907,7 @@ def test_kernel_gemm_sub_reads_a_run_of_pivot_columns_in_place(p, acc_max, pivco
     writes nothing outside its block."""
     monkeypatch.setattr(gfprime, "_ACC_MAX", acc_max)
     monkeypatch.setattr(gfprime, "_STRIPE", 16)
-    monkeypatch.setattr(_Kernel, "chunk_k", 8)
+    monkeypatch.setattr(gfprime, "_CHUNK_K", 8)
     rng = np.random.default_rng(acc_max + len(pivcols))
     k, m, n = len(pivcols), 37, 30
     a = _residues_mod(p, rng, (k + m, 23 + n), "random")
