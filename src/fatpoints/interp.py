@@ -11,6 +11,20 @@ degree, which happens with probability on the order of 1e-16 per trial.
 Taking the maximum rank over independent trials makes the error
 one-sided and vanishingly small.
 
+A rank that reaches its ceiling min(conditions, monomials) is exact in
+characteristic 0 at any prime: the condition matrix at integer points has
+integer entries, a minor that is nonzero mod q is a nonzero integer, so
+the generic rank is at least that minor's size (Schwartz, JACM 1980,
+bounds how often a draw misses it).  effective_dim therefore first ranks
+one draw at _CERT_PRIME, the largest prime whose residues are one 21-bit
+limb, where a product takes one float64 GEMM instead of six at 2**61 - 1.
+A full rank there is the answer; anything less is thrown away and the
+trials run at the requested prime as if the certificate had not been
+tried, so a special verdict never rests on the small prime.  Points on a
+quadric come from a square-root parametrisation, not from a uniform
+integer draw, and the argument does not cover them: constrained draws are
+never certified.
+
 Vanishing to order m at a point is imposed through iterated partial
 derivatives: all derivatives of order < m vanish.  This encodes the
 scheme-theoretic fat point correctly because p exceeds the degree, so
@@ -27,7 +41,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfprime import DEFAULT_PRIME, PrimeField, PrimeFieldMatrix, mulmod_vec
+from .gfprime import (
+    _LIMB_PRODUCT_BITS,
+    DEFAULT_PRIME,
+    PrimeField,
+    PrimeFieldMatrix,
+    is_prime,
+    mulmod_vec,
+)
 from .syscore import FatPointSystem, edim_expected, residual, vdim
 
 __all__ = [
@@ -83,9 +104,13 @@ class RankReport:
     resulting effective dimension against the expected one.  `analytic`
     marks verdicts short-circuited without a matrix (multiplicity above
     degree + 1 empties the system identically).  `trials` is the number
-    of trials requested and `trials_run` the number ranked: fewer when a
-    trial reaches the ceiling min(conditions, monomials), and 0 for
-    analytic verdicts and systems without conditions.
+    of trials requested and `trials_run` the number whose ranks the report
+    keeps: fewer when a trial reaches the ceiling min(conditions,
+    monomials), and 0 for analytic verdicts and systems without
+    conditions.  `certified_by` is _CERT_PRIME when one rank at that prime
+    reached the ceiling and is the report's rank (`trials_run` is then 1),
+    else None; a certificate that fell short counts in neither field.
+    Neither field enters any JSON.
     """
 
     system: FatPointSystem
@@ -102,6 +127,7 @@ class RankReport:
     prime: int
     analytic: bool = False
     trials_run: int = 0
+    certified_by: int | None = None
 
 
 @lru_cache(maxsize=None)
@@ -193,6 +219,12 @@ def _monomial_values(pts: list[SamplePoint], n: int, d: int, p: int) -> np.ndarr
         values = mulmod_vec(values, table[:, j, exps[:, j]], p)
     return values
 
+
+# The largest prime whose residues are one 21-bit limb, (q - 1)**2 <
+# 2**_LIMB_PRODUCT_BITS: full ranks of unconstrained draws are certified here.
+_CERT_PRIME = next(
+    q for q in range(math.isqrt((1 << _LIMB_PRODUCT_BITS) - 1) + 1, 1, -1) if is_prime(q)
+)
 
 # Draws of one trial's points before a degenerate configuration is an error.
 _DRAW_ATTEMPTS = 8
@@ -286,10 +318,22 @@ def effective_dim(
     monomials), which no later trial can exceed, so the reported rank is
     the one all trials would give; `trials_run` records how many ran.
 
+    Before the first trial, when the draw is unconstrained (`constraints`
+    None or all None) and `prime` exceeds _CERT_PRIME, the first trial's
+    points are drawn mod _CERT_PRIME instead, from a fresh generator on
+    the same seed child, and ranked once.  Reaching the ceiling there
+    proves the rank in characteristic 0 (see the module docstring): the
+    report keeps it, with `certified_by` = _CERT_PRIME and `trials_run`
+    = 1.  Otherwise that rank is discarded and the trials run at `prime`
+    exactly as without it: same seed children, same points, same ranks.
+    The fields a JSON report reads (rank, h0, special, ...) are the same
+    either way whenever the trials at `prime` reach the generic rank.
+
     The same (seed, trials, prime, constraints) produce the same points
     for any system with the same number of base points, which is what
     makes fixed-component comparisons meaningful: every trial draws from
     its own child of the seed, so skipping later trials changes no draw.
+    A certified report's points are the ones drawn mod _CERT_PRIME.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -305,20 +349,26 @@ def effective_dim(
     expected = edim_expected(sys)
     analytic = any(m > d + 1 for m in sys.mults)
     rank = trials_run = 0
+    certified_by = None
     if analytic:
         rank = monomials  # a multiplicity above d+1 kills every form
     elif conditions:
         ceiling = min(conditions, monomials)
         seeds = np.random.SeedSequence(seed)
-        for _ in range(trials):
-            # children one at a time: the same as spawn(trials), without
-            # holding a child for every trial that an early stop skips
-            rng = np.random.default_rng(seeds.spawn(1)[0])
-            pts = _draw_points(sys.npoints, n, field, rng, constraints)
+        # children one at a time: the same as spawn(trials), without
+        # holding a child for every trial that an early stop skips
+        child = seeds.spawn(1)[0]
+        if prime > _CERT_PRIME and (constraints is None or all(c is None for c in constraints)):
+            cert = PrimeField(_CERT_PRIME)
+            pts = _draw_points(sys.npoints, n, cert, np.random.default_rng(child), None)
+            if _system_matrix(sys, pts, cert).rank() == ceiling:
+                rank, trials_run, certified_by = ceiling, 1, _CERT_PRIME
+        while rank < ceiling and trials_run < trials:
+            if trials_run:
+                child = seeds.spawn(1)[0]
+            pts = _draw_points(sys.npoints, n, field, np.random.default_rng(child), constraints)
             rank = max(rank, _system_matrix(sys, pts, field).rank())
             trials_run += 1
-            if rank == ceiling:
-                break
     h0 = monomials - rank
     if h0 < max(v + 1, 0):
         raise VirtualBoundError(
@@ -340,6 +390,7 @@ def effective_dim(
         prime=prime,
         analytic=analytic,
         trials_run=trials_run,
+        certified_by=certified_by,
     )
 
 
@@ -428,6 +479,15 @@ def fixed_component_test(
     form embeds the residual into sys, so equal h0 means the embedding
     is onto and the fixed divisor splits off every member; a strictly
     larger h0 on the sys side refutes divisibility.
+
+    A side whose rank is certified (`RankReport.certified_by`) has its
+    exact generic h0, from points drawn mod the certifying prime, so only
+    an uncertified side is read at the shared draws; its h0 stays an
+    upper bound for the generic one.  With the residual certified, equal
+    h0 proves the split: h0(sys) as reported >= generic h0(sys) >= generic
+    h0(residual) = h0(residual).  With sys certified, equal h0 can err
+    only when the residual's rank fell short, the one-sided miss of any
+    uncertified rank.
     """
     if seed is None:
         seed = secrets.randbits(64)
@@ -438,8 +498,10 @@ def fixed_component_test(
 def _peel(sys: FatPointSystem, fixed: FatPointSystem, constraints=None, **mc):
     """The reports of `sys` and of its residual after `fixed`, in that order,
     ranked with the same `effective_dim` settings `mc` and constraints, so on
-    identical point draws for a set seed. Equal h0 means `fixed` divides
-    every member of `sys` (see `fixed_component_test`)."""
+    identical point draws for a set seed, except on a side whose full rank
+    is certified at _CERT_PRIME, whose h0 is then exact. Equal h0 means
+    `fixed` divides every member of `sys` (see `fixed_component_test` for
+    a comparison with one side certified)."""
     full = effective_dim(sys, constraints=constraints, **mc)
     rest = effective_dim(residual(sys, fixed), constraints=constraints, **mc)
     return full, rest

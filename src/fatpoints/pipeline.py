@@ -104,8 +104,14 @@ def run_counterexample(cfg: RunConfig) -> CounterexampleReport:
     All Monte Carlo checks share (seed, trials, prime), which makes the
     nine-point prefix of every draw identical across systems; that is
     what entitles the fixed-component comparisons to subtract h0 values
-    obtained from different matrices.  Each distinct system is ranked
-    once, and later checks reuse its report.
+    obtained from different matrices.  A full-rank system is certified by
+    one rank at interp._CERT_PRIME and its h0 is exact, so a comparison
+    with one side certified needs no shared draw: in check 3 the residual
+    L3(7,5,3^8) is certified and the special L3(9,6,4^8) is not, and equal
+    h0 then proves the quadric fixed (see `interp.fixed_component_test`).
+    The contact-point peels of checks 4 and 5 are constrained and never
+    certified.  Each distinct system is ranked once, and later checks
+    reuse its report.
     """
     seed = cfg.seed if cfg.seed is not None else secrets.randbits(64)
     cfg = replace(cfg, seed=seed)

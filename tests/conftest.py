@@ -15,14 +15,14 @@ from fatpoints.syscore import parse_system
 @pytest.fixture(scope="session")
 def criterion_8_run():
     """The criterion-8 rank, L3(30,5^120) in one trial at seed 20248, run
-    once per session: its report, its wall time, and the pivot columns of
-    the trial's 4200 x 5456 elimination."""
+    once per session: its report, its wall time, and the prime and pivot
+    columns of each 4200 x 5456 elimination it ran."""
     pivots = []
     inner = gfprime._rank_with_pivots
 
     def recorded(a, p):
         rank, pivs = inner(a, p)
-        pivots.append(pivs)
+        pivots.append((p, pivs))
         return rank, pivs
 
     with pytest.MonkeyPatch.context() as mp:

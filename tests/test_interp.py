@@ -334,11 +334,13 @@ def test_trials_stop_once_the_rank_reaches_its_ceiling(monkeypatch):
 
 
 def test_rank_deficient_system_runs_every_trial(monkeypatch):
+    """The certificate at _CERT_PRIME falls short, so its matrix is the
+    first of four built, and every trial at the requested prime runs."""
     calls = _counted_system_matrix(monkeypatch)
     rep = effective_dim(parse_system("L2(4,2^5)"), trials=3, seed=5)  # the double conic
     assert rep.rank == 14 < min(rep.conditions, rep.monomials)
-    assert (rep.trials, rep.trials_run) == (3, 3)
-    assert len(calls) == 3
+    assert (rep.trials, rep.trials_run, rep.certified_by) == (3, 3, None)
+    assert len(calls) == 4
 
 
 def _spawned_seeds(monkeypatch):
@@ -512,7 +514,10 @@ def test_effective_dim_spends_each_trial_matrix_through_rank(monkeypatch):
 
     monkeypatch.setattr(PrimeFieldMatrix, "rank", recorded)
     rep = effective_dim(parse_system("L2(4,2^5)"), trials=3, seed=5)
-    assert [(m, n, p, r) for _, m, n, p, r in seen] == [(15, 15, DEFAULT_PRIME, 14)] * 3
+    # one failed certificate at the one-limb prime, then every trial
+    assert [(m, n, p, r) for _, m, n, p, r in seen] == [(15, 15, 4194301, 14)] + [
+        (15, 15, DEFAULT_PRIME, 14)
+    ] * 3
     for mat, *_ in seen:
         with pytest.raises(ConsumedMatrixError):
             mat.entries
@@ -520,7 +525,9 @@ def test_effective_dim_spends_each_trial_matrix_through_rank(monkeypatch):
 
 
 def test_criterion_8_matrix_pivots_are_its_first_4200_columns(criterion_8_run):
-    """The one trial of the criterion-8 rank, L3(30,5^120) at seed 20248:
+    """The criterion-8 rank, L3(30,5^120) at seed 20248, is one elimination
+    at the one-limb prime, whose full rank certifies the default prime's:
     its 4200 x 5456 matrix has pivots exactly in columns 0-4199, so every
     update of its elimination reads its multipliers in place."""
-    assert criterion_8_run.pivots == [list(range(4200))]
+    assert criterion_8_run.pivots == [(4194301, list(range(4200)))]
+    assert criterion_8_run.report.certified_by == 4194301
