@@ -11,7 +11,7 @@ pushes the actual dimension above the expected one.
 from __future__ import annotations
 
 from fatpoints import (
-    ChowContext,
+    DivisorClass,
     canonical,
     chi_rr,
     cremona_reduce,
@@ -28,23 +28,22 @@ from fatpoints import (
 
 
 def main() -> None:
-    ctx = ChowContext(3, 9)
     big = parse_class("[9;6,4^8]", 3)
     quadric = parse_class("[2;1,1^8]", 3)
     mobile = parse_class("[7;5,3^8]", 3)
 
-    print(f"chi of {format_class(mobile)}: {chi_rr(ctx, mobile)}")
-    print(f"vdim via Riemann-Roch: {vdim_rr(ctx, mobile)}")
+    print(f"chi of {format_class(mobile)}: {chi_rr(mobile)}")
+    print(f"vdim via Riemann-Roch: {vdim_rr(mobile)}")
 
-    lk = big - canonical(ctx)
-    triple = intersect3(ctx, quadric, mobile, lk)
+    lk = big - canonical(3, 9)
+    triple = intersect3(quadric, mobile, lk)
     print(f"triple product Q.M.(L-K) = {triple}")
-    print(f"speciality defect of the splitting: {speciality_defect(ctx, quadric, mobile)}")
+    print(f"speciality defect of the splitting: {speciality_defect(quadric, mobile)}")
 
     dbl = parse_class("[4;2^9]", 3)
     print(
         f"defect when {format_class(dbl)} is all fixed part: "
-        f"{speciality_defect(ctx, dbl, ctx.zero())}"
+        f"{speciality_defect(dbl, DivisorClass(3, 0, (0,) * 9))}"
     )
 
     print()

@@ -15,13 +15,13 @@ and no operation clamps.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .syscore import _Scanner, _compressed
 
 __all__ = [
     "DivisorClass",
-    "ChowContext",
     "EnumBounds",
     "NegCurveHit",
     "HHPrediction",
@@ -53,7 +53,10 @@ class DivisorClass:
     m: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        # operator.index refuses a float instead of truncating it
+        for name in ("ambient_dim", "d"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "m", tuple(map(operator.index, self.m)))
         if self.ambient_dim not in (2, 3):
             raise ValueError(f"ambient dimension must be 2 or 3, got {self.ambient_dim}")
 
@@ -93,69 +96,37 @@ class DivisorClass:
         return format_class(self)
 
 
-@dataclass(frozen=True)
-class ChowContext:
-    """Blow-up of P^n at r general points; fixes the basis <H, E_0, ...>."""
-
-    ambient_dim: int
-    r: int
-
-    def __post_init__(self):
-        if self.ambient_dim not in (2, 3):
-            raise ValueError(f"ambient dimension must be 2 or 3, got {self.ambient_dim}")
-        if self.r < 0:
-            raise ValueError(f"point count must be >= 0, got {self.r}")
-
-    def check(self, *classes: DivisorClass) -> None:
-        for c in classes:
-            if c.ambient_dim != self.ambient_dim:
-                raise ValueError(
-                    f"class lives on P^{c.ambient_dim}, context is P^{self.ambient_dim}"
-                )
-            if len(c.m) != self.r:
-                raise ValueError(f"class has {len(c.m)} points, context has {self.r}")
-
-    def hyperplane(self) -> DivisorClass:
-        return DivisorClass(self.ambient_dim, 1, (0,) * self.r)
-
-    def exceptional(self, i: int) -> DivisorClass:
-        if not 0 <= i < self.r:
-            raise ValueError(f"point index {i} out of range for r={self.r}")
-        m = [0] * self.r
-        m[i] = -1
-        return DivisorClass(self.ambient_dim, 0, tuple(m))
-
-    def zero(self) -> DivisorClass:
-        return DivisorClass(self.ambient_dim, 0, (0,) * self.r)
-
-
-def canonical(ctx: ChowContext) -> DivisorClass:
-    """K = -(n+1)H + (n-1) sum E_i, stored as (-(n+1); -(n-1), ...)."""
-    n = ctx.ambient_dim
-    return DivisorClass(n, -(n + 1), (-(n - 1),) * ctx.r)
+def canonical(n: int, r: int) -> DivisorClass:
+    """K = -(n+1)H + (n-1) sum E_i on P^n blown up at r points, stored
+    as (-(n+1); -(n-1), ...)."""
+    r = operator.index(r)
+    if r < 0:
+        raise ValueError(f"point count must be >= 0, got {r}")
+    return DivisorClass(n, -(n + 1), (-(n - 1),) * r)
 
 
 def _pair2(a: DivisorClass, b: DivisorClass) -> int:
     return a.d * b.d - sum(x * y for x, y in zip(a.m, b.m))
 
 
-def intersect3(ctx: ChowContext, a: DivisorClass, b: DivisorClass, c: DivisorClass) -> int:
+def intersect3(a: DivisorClass, b: DivisorClass, c: DivisorClass) -> int:
     """Triple product on blown-up P^3: dA dB dC - sum mA mB mC."""
-    if ctx.ambient_dim != 3:
-        raise ValueError("triple products need a P^3 context")
-    ctx.check(a, b, c)
+    if a.ambient_dim != 3:
+        raise ValueError("triple products need P^3 classes")
+    a._compat(b)
+    a._compat(c)
     return a.d * b.d * c.d - sum(x * y * z for x, y, z in zip(a.m, b.m, c.m))
 
 
-def intersect2(ctx: ChowContext, a: DivisorClass, b: DivisorClass) -> int:
+def intersect2(a: DivisorClass, b: DivisorClass) -> int:
     """Pairing on blown-up P^2: dA dB - sum mA mB."""
-    if ctx.ambient_dim != 2:
-        raise ValueError("pairings need a P^2 context")
-    ctx.check(a, b)
+    if a.ambient_dim != 2:
+        raise ValueError("pairings need P^2 classes")
+    a._compat(b)
     return _pair2(a, b)
 
 
-def chi_rr(ctx: ChowContext, dv: DivisorClass) -> int:
+def chi_rr(dv: DivisorClass) -> int:
     """Euler characteristic of O(D) on blown-up P^3 by Riemann-Roch:
     chi = [D(D-K)(2D-K) + c2.D] / 12 + 1.
 
@@ -163,11 +134,10 @@ def chi_rr(ctx: ChowContext, dv: DivisorClass) -> int:
     unique value making chi(dH) = C(d+3,3) and chi(dH - mE) drop by
     exactly C(m+2,3), which ties this formula to the monomial count.
     """
-    if ctx.ambient_dim != 3:
+    if dv.ambient_dim != 3:
         raise ValueError("Riemann-Roch here is for blown-up P^3 only")
-    ctx.check(dv)
-    k = canonical(ctx)
-    t = intersect3(ctx, dv, dv - k, 2 * dv - k)
+    k = canonical(3, dv.npoints)
+    t = intersect3(dv, dv - k, 2 * dv - k)
     total = t + 6 * dv.d
     if total % 12 != 0:
         raise ArithmeticError(
@@ -176,9 +146,9 @@ def chi_rr(ctx: ChowContext, dv: DivisorClass) -> int:
     return total // 12 + 1
 
 
-def vdim_rr(ctx: ChowContext, dv: DivisorClass) -> int:
+def vdim_rr(dv: DivisorClass) -> int:
     """Virtual dimension chi - 1 of a class on blown-up P^3."""
-    return chi_rr(ctx, dv) - 1
+    return chi_rr(dv) - 1
 
 
 def vdim_planar(dv: DivisorClass) -> int:
@@ -193,23 +163,21 @@ def vdim_planar(dv: DivisorClass) -> int:
     return (d * (d + 3) - sum(mi * (mi + 1) for mi in dv.m)) // 2
 
 
-def speciality_defect(ctx: ChowContext, f: DivisorClass, m: DivisorClass) -> int:
+def speciality_defect(f: DivisorClass, m: DivisorClass) -> int:
     """v(F) + F.M.(L-K)/2 for the splitting L = F + M on blown-up P^3.
 
     The full decomposition v(L) = v(F) + v(M) + F.M.(L-K)/2 is asserted
     exactly; a negative return value with M non-special certifies that L
     is special.
     """
-    if ctx.ambient_dim != 3:
+    if f.ambient_dim != 3:
         raise ValueError("the speciality decomposition is for blown-up P^3")
-    ctx.check(f, m)
     total = f + m
-    k = canonical(ctx)
-    cross2 = intersect3(ctx, f, m, total - k)
+    cross2 = intersect3(f, m, total - canonical(3, f.npoints))
     if cross2 % 2 != 0:
         raise ArithmeticError(f"odd cross term {cross2} for F={f}, M={m}")
     cross = cross2 // 2
-    vf, vm, vl = vdim_rr(ctx, f), vdim_rr(ctx, m), vdim_rr(ctx, total)
+    vf, vm, vl = vdim_rr(f), vdim_rr(m), vdim_rr(total)
     if vl != vf + vm + cross:
         raise ArithmeticError(
             f"decomposition identity failed: v(L)={vl}, v(F)+v(M)+cross={vf + vm + cross}"

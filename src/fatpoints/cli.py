@@ -19,7 +19,6 @@ import json
 import sys
 
 from .blowup import (
-    ChowContext,
     EnumBounds,
     chi_rr,
     cremona_reduce,
@@ -177,23 +176,21 @@ def _chow(args):
     if len(args.classes) != ambient:
         raise ValueError(f"chow {args.mode} needs exactly {ambient} classes, got {len(args.classes)}")
     classes = [parse_class(t, ambient) for t in args.classes]
-    ctx = ChowContext(ambient, classes[0].npoints)
-    product = intersect2(ctx, *classes) if ambient == 2 else intersect3(ctx, *classes)
+    product = intersect2(*classes) if ambient == 2 else intersect3(*classes)
     obj = {"mode": args.mode, "classes": [format_class(c) for c in classes], "product": product}
     return obj, str(product)
 
 
 def _rr(args):
     cls = parse_class(args.cls, 3)
-    ctx = ChowContext(3, cls.npoints)
-    chi, v = chi_rr(ctx, cls), vdim_rr(ctx, cls)
+    chi, v = chi_rr(cls), vdim_rr(cls)
     return {"class": format_class(cls), "chi": chi, "vdim": v}, f"chi: {chi}\nvdim: {v}"
 
 
 def _defect(args):
     fixed = parse_class(args.fixed, 3)
     mobile = parse_class(args.mobile, 3)
-    d = speciality_defect(ChowContext(3, fixed.npoints), fixed, mobile)
+    d = speciality_defect(fixed, mobile)
     return {"fixed": format_class(fixed), "mobile": format_class(mobile), "defect": d}, str(d)
 
 

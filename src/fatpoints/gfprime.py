@@ -34,6 +34,7 @@ size and the result is deterministic.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -83,7 +84,8 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if not isinstance(p, int) or not is_prime(p):
+        p = operator.index(p)
+        if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p!r}")
         if p == 2 or p >= 1 << 62:
             raise ValueError("modulus must be an odd prime below 2**62")

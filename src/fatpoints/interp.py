@@ -35,6 +35,7 @@ residues.
 from __future__ import annotations
 
 import math
+import operator
 import secrets
 from dataclasses import dataclass
 from functools import lru_cache
@@ -335,9 +336,11 @@ def effective_dim(
     its own child of the seed, so skipping later trials changes no draw.
     A certified report's points are the ones drawn mod _CERT_PRIME.
     """
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     field = PrimeField(prime)
+    prime = field.p
     if prime <= sys.degree:
         raise ValueError(f"prime {prime} must exceed the degree {sys.degree}")
     if seed is None:

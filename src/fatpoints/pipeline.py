@@ -10,12 +10,12 @@ check to fail instead of silently shifting the baseline.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import secrets
 from dataclasses import dataclass, replace
 
 from .blowup import (
-    ChowContext,
     DivisorClass,
     EnumBounds,
     canonical,
@@ -50,6 +50,10 @@ class RunConfig:
     output: str = "text"
 
     def __post_init__(self):
+        # operator.index refuses a float instead of truncating it
+        for name in ("prime", "trials", "seed"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
         PrimeField(self.prime)  # validates primality and size
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
@@ -270,12 +274,12 @@ def run_counterexample(cfg: RunConfig) -> CounterexampleReport:
     )
 
     # 9. intersection-theoretic speciality defects on blown-up P^3
-    ctx = ChowContext(3, 9)
     quad_cls = DivisorClass(3, 2, (1,) + (1,) * 8)
     mobile_cls = DivisorClass(3, 7, (5,) + (3,) * 8)
     total = quad_cls + mobile_cls
     double_quad = DivisorClass(3, 4, (2,) * 9)
-    zero = ctx.zero()
+    zero = DivisorClass(3, 0, (0,) * 9)
+    k = canonical(3, 9)
     add(
         "speciality-defects",
         "defect of the quadric splitting is -1 (triple product -2); the "
@@ -287,13 +291,10 @@ def run_counterexample(cfg: RunConfig) -> CounterexampleReport:
             "double_quadric_cross": 0,
         },
         {
-            "triple_product": intersect3(ctx, quad_cls, mobile_cls, total - canonical(ctx)),
-            "defect": speciality_defect(ctx, quad_cls, mobile_cls),
-            "double_quadric_defect": speciality_defect(ctx, double_quad, zero),
-            "double_quadric_cross": intersect3(
-                ctx, double_quad, zero, double_quad - canonical(ctx)
-            )
-            // 2,
+            "triple_product": intersect3(quad_cls, mobile_cls, total - k),
+            "defect": speciality_defect(quad_cls, mobile_cls),
+            "double_quadric_defect": speciality_defect(double_quad, zero),
+            "double_quadric_cross": intersect3(double_quad, zero, double_quad - k) // 2,
         },
         rank_based=False,
     )

@@ -12,6 +12,7 @@ system to the quadric through its base points is studied.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .syscore import FatPointSystem, _Scanner, _compressed
@@ -37,7 +38,10 @@ class QuadricSystem:
     tail: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tail", tuple(int(t) for t in self.tail))
+        # operator.index refuses a float instead of truncating it
+        for name in ("a", "b", "m0"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "tail", tuple(map(operator.index, self.tail)))
 
     def __str__(self) -> str:
         return format_quadric_system(self)

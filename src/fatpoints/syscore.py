@@ -10,6 +10,7 @@ dimension clamps that at -1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -49,7 +50,10 @@ class FatPointSystem:
     mults: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
+        # operator.index refuses a float instead of truncating it
+        for name in ("ambient_dim", "degree"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        object.__setattr__(self, "mults", tuple(map(operator.index, self.mults)))
         if self.ambient_dim < 1:
             raise ValueError(f"ambient dimension must be >= 1, got {self.ambient_dim}")
         if self.degree < 0:

@@ -6,11 +6,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fatpoints import blowup
 from fatpoints.blowup import (
-    ChowContext,
     DivisorClass,
     EnumBounds,
     canonical,
@@ -57,64 +57,89 @@ def test_class_arithmetic():
 
 
 def test_canonical_classes():
-    assert canonical(ChowContext(2, 4)) == DivisorClass(2, -3, (-1,) * 4)
-    assert canonical(ChowContext(3, 9)) == DivisorClass(3, -4, (-2,) * 9)
+    assert canonical(2, 4) == DivisorClass(2, -3, (-1,) * 4)
+    assert canonical(3, 9) == DivisorClass(3, -4, (-2,) * 9)
+    assert canonical(3, 0) == DivisorClass(3, -4)
+    assert canonical(2, np.int64(2)) == DivisorClass(2, -3, (-1, -1))
+    with pytest.raises(ValueError, match="point count must be >= 0"):
+        canonical(3, -1)
+    with pytest.raises(TypeError):
+        canonical(3, 9.0)
+    with pytest.raises(ValueError, match="ambient dimension must be 2 or 3"):
+        canonical(4, 1)
 
 
 def test_generator_intersection_numbers():
-    ctx2 = ChowContext(2, 2)
-    h = ctx2.hyperplane()
-    e0 = ctx2.exceptional(0)
-    e1 = ctx2.exceptional(1)
-    assert intersect2(ctx2, h, h) == 1
-    assert intersect2(ctx2, h, e0) == 0
-    assert intersect2(ctx2, e0, e0) == -1
-    assert intersect2(ctx2, e0, e1) == 0
+    h = DivisorClass(2, 1, (0, 0))
+    e0 = DivisorClass(2, 0, (-1, 0))
+    e1 = DivisorClass(2, 0, (0, -1))
+    assert intersect2(h, h) == 1
+    assert intersect2(h, e0) == 0
+    assert intersect2(e0, e0) == -1
+    assert intersect2(e0, e1) == 0
 
-    ctx3 = ChowContext(3, 2)
-    h3 = ctx3.hyperplane()
-    f0 = ctx3.exceptional(0)
-    assert intersect3(ctx3, h3, h3, h3) == 1
-    assert intersect3(ctx3, f0, f0, f0) == 1
-    assert intersect3(ctx3, h3, h3, f0) == 0
-    assert intersect3(ctx3, h3, f0, f0) == 0
-    assert intersect3(ctx3, f0, f0, ctx3.exceptional(1)) == 0
+    h3 = DivisorClass(3, 1, (0, 0))
+    f0 = DivisorClass(3, 0, (-1, 0))
+    f1 = DivisorClass(3, 0, (0, -1))
+    assert intersect3(h3, h3, h3) == 1
+    assert intersect3(f0, f0, f0) == 1
+    assert intersect3(h3, h3, f0) == 0
+    assert intersect3(h3, f0, f0) == 0
+    assert intersect3(f0, f0, f1) == 0
 
 
 def test_frozen_products_for_the_splitting():
-    ctx = ChowContext(3, 9)
     q = parse_class("[2;1,1^8]", 3)
     m = parse_class("[7;5,3^8]", 3)
     lk = parse_class("[13;8,6^8]", 3)
-    assert q + m - canonical(ctx) == lk
-    assert intersect3(ctx, q, m, lk) == -2
+    assert q + m - canonical(3, 9) == lk
+    assert intersect3(q, m, lk) == -2
 
     line = parse_class("[1;1^2,0^8]", 2)
-    assert intersect2(ChowContext(2, 10), line, parse_class("[12;3^2,4^8]", 2)) == 6
-    assert intersect2(ChowContext(2, 10), line, parse_class("[9;2^2,3^8]", 2)) == 5
+    assert intersect2(line, parse_class("[12;3^2,4^8]", 2)) == 6
+    assert intersect2(line, parse_class("[9;2^2,3^8]", 2)) == 5
 
 
-def test_mismatched_contexts_rejected():
-    ctx = ChowContext(3, 9)
-    with pytest.raises(ValueError):
-        intersect3(ctx, parse_class("[1;1]", 3), ctx.hyperplane(), ctx.hyperplane())
-    with pytest.raises(ValueError):
-        intersect2(ChowContext(2, 2), parse_class("[1;1,1]", 2), parse_class("[1;1,1]", 3))
+def test_mismatched_classes_rejected():
+    h1, h9 = parse_class("[1;0]", 3), parse_class("[1;0^9]", 3)
+    p2, p3 = parse_class("[1;1,1]", 2), parse_class("[1;1,1]", 3)
+    points = "point counts differ: 9 vs 1"
+    with pytest.raises(ValueError, match=points):
+        intersect3(h9, h1, h9)
+    with pytest.raises(ValueError, match=points):
+        intersect3(h9, h9, h1)
+    with pytest.raises(ValueError, match="point counts differ: 2 vs 1"):
+        intersect2(p2, parse_class("[1;1]", 2))
+    with pytest.raises(ValueError, match=points):
+        speciality_defect(h9, h1)
+    with pytest.raises(ValueError, match="ambient dimensions differ: 2 vs 3"):
+        intersect2(p2, p3)
+    with pytest.raises(ValueError, match="ambient dimensions differ: 3 vs 2"):
+        intersect3(p3, p3, p2)
+    with pytest.raises(ValueError, match="ambient dimensions differ: 3 vs 2"):
+        speciality_defect(p3, p2)
+    # the first class fixes the space each function works on
+    with pytest.raises(ValueError, match=r"triple products need P\^3 classes"):
+        intersect3(p2, p3, p3)
+    with pytest.raises(ValueError, match=r"pairings need P\^2 classes"):
+        intersect2(p3, p2)
+    with pytest.raises(ValueError, match=r"Riemann-Roch here is for blown-up P\^3 only"):
+        chi_rr(p2)
+    with pytest.raises(ValueError, match=r"speciality decomposition is for blown-up P\^3"):
+        speciality_defect(p2, p3)
 
 
 def test_euler_characteristic_matches_monomial_counts():
     for r in [0, 1, 9]:
-        ctx = ChowContext(3, r)
         for d in range(7):
             cls = DivisorClass(3, d, (0,) * r)
-            assert chi_rr(ctx, cls) == math.comb(d + 3, 3)
+            assert chi_rr(cls) == math.comb(d + 3, 3)
 
 
 def test_euler_characteristic_frozen_values():
-    ctx = ChowContext(3, 9)
-    assert chi_rr(ctx, parse_class("[7;5,3^8]", 3)) == 5
-    assert chi_rr(ctx, parse_class("[4;2^9]", 3)) == -1
-    assert vdim_rr(ctx, parse_class("[4;2^9]", 3)) == -2
+    assert chi_rr(parse_class("[7;5,3^8]", 3)) == 5
+    assert chi_rr(parse_class("[4;2^9]", 3)) == -1
+    assert vdim_rr(parse_class("[4;2^9]", 3)) == -2
 
 
 def test_vdim_rr_agrees_with_condition_counting():
@@ -123,33 +148,31 @@ def test_vdim_rr_agrees_with_condition_counting():
         r = rng.randint(0, 10)
         d = rng.randint(0, 12)
         m = tuple(rng.randint(0, 6) for _ in range(r))
-        ctx = ChowContext(3, r)
-        assert vdim_rr(ctx, DivisorClass(3, d, m)) == vdim(FatPointSystem(3, d, m))
+        assert vdim_rr(DivisorClass(3, d, m)) == vdim(FatPointSystem(3, d, m))
 
 
 def test_splitting_identity_on_random_pairs():
     rng = random.Random(321)
     for _ in range(1000):
         r = rng.randint(0, 9)
-        ctx = ChowContext(3, r)
         f = DivisorClass(3, rng.randint(0, 8), tuple(rng.randint(-2, 5) for _ in range(r)))
         m = DivisorClass(3, rng.randint(0, 8), tuple(rng.randint(-2, 5) for _ in range(r)))
-        k = canonical(ctx)
-        cross2 = intersect3(ctx, f, m, f + m - k)
+        k = canonical(3, r)
+        cross2 = intersect3(f, m, f + m - k)
         assert cross2 % 2 == 0
-        lhs = vdim_rr(ctx, f + m)
-        rhs = vdim_rr(ctx, f) + vdim_rr(ctx, m) + cross2 // 2
+        lhs = vdim_rr(f + m)
+        rhs = vdim_rr(f) + vdim_rr(m) + cross2 // 2
         assert lhs == rhs
 
 
 def test_speciality_defect_frozen_values():
-    ctx = ChowContext(3, 9)
     q = parse_class("[2;1,1^8]", 3)
     m = parse_class("[7;5,3^8]", 3)
-    assert speciality_defect(ctx, q, m) == -1
+    assert speciality_defect(q, m) == -1
     double_quad = parse_class("[4;2^9]", 3)
-    assert speciality_defect(ctx, double_quad, ctx.zero()) == -2
-    assert intersect3(ctx, double_quad, ctx.zero(), double_quad - canonical(ctx)) == 0
+    zero = DivisorClass(3, 0, (0,) * 9)
+    assert speciality_defect(double_quad, zero) == -2
+    assert intersect3(double_quad, zero, double_quad - canonical(3, 9)) == 0
 
 
 def test_planar_vdim_matches_counting_and_survives_cremona():
@@ -171,12 +194,9 @@ def test_cremona_preserves_pairings():
         r = rng.randint(3, 8)
         a = DivisorClass(2, rng.randint(-4, 9), tuple(rng.randint(-3, 4) for _ in range(r)))
         b = DivisorClass(2, rng.randint(-4, 9), tuple(rng.randint(-3, 4) for _ in range(r)))
-        ctx = ChowContext(2, r)
         i, j, k = rng.sample(range(r), 3)
-        assert intersect2(ctx, cremona(a, i, j, k), cremona(b, i, j, k)) == intersect2(
-            ctx, a, b
-        )
-        kcl = canonical(ctx)
+        assert intersect2(cremona(a, i, j, k), cremona(b, i, j, k)) == intersect2(a, b)
+        kcl = canonical(2, r)
         assert cremona(kcl, i, j, k) == kcl
 
 
@@ -315,3 +335,17 @@ def test_predictor_validates_input():
         hh_predict_special(parse_class("[2;1,1]", 3))
     with pytest.raises(ValueError):
         hh_predict_special(DivisorClass(2, 3, (-1, 1)))
+
+
+def test_class_entries_are_integers_not_truncated():
+    cls = DivisorClass(2, 3, (1, 3))
+    for scale in (lambda: 0.5 * cls, lambda: cls * 1.5, lambda: 2.0 * cls):
+        with pytest.raises(TypeError):
+            scale()
+    for fields in [(2.0, 3, (1, 3)), (2, 3.0, (1, 3)), (2, 3, (1, 2.9))]:
+        with pytest.raises(TypeError):
+            DivisorClass(*fields)
+    from_numpy = DivisorClass(np.int64(2), np.int64(3), np.array([1, 3]))
+    assert from_numpy == cls
+    assert all(type(x) is int for x in (from_numpy.ambient_dim, from_numpy.d, *from_numpy.m))
+    assert cls * np.int64(2) == DivisorClass(2, 6, (2, 6))

@@ -111,6 +111,22 @@ def test_chow_arity_is_a_usage_error(capsys):
     assert "exactly 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["chow", "pair", "[1;1]", "[1;1,1]"], "point counts differ: 1 vs 2"),
+        (["chow", "triple", "[1;1]", "[1;1]", "[1;1,1]"], "point counts differ: 1 vs 2"),
+        (["defect", "[2;1^9]", "[7;5,3^7]"], "point counts differ: 9 vs 8"),
+        (["defect", "[2;1^8]", "[7;5,3^8]"], "point counts differ: 8 vs 9"),
+    ],
+)
+def test_mismatched_point_counts_are_usage_errors(argv, err, capsys):
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
 def test_parse_errors_carry_byte_offsets(capsys):
     code = cli_main(["vdim", "L2(3,,1)"])
     assert code == 2

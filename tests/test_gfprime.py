@@ -1036,3 +1036,13 @@ def test_integer_arrays_reduce_like_python_integers(data, dtype, p):
     assert got.dtype == np.uint64
     assert got.shape == arr.shape
     assert got.tolist() == _reduced_by_objects(arr, p)
+
+
+def test_field_modulus_is_an_integer_not_truncated():
+    for p in (np.int64(1048573), np.uint64(1048573), 1048573):
+        field = PrimeField(p)
+        assert field.p == 1048573 and type(field.p) is int
+        assert field == PrimeField(1048573)
+    for p in (1048573.0, 101.5):
+        with pytest.raises(TypeError):
+            PrimeField(p)

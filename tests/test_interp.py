@@ -531,3 +531,15 @@ def test_criterion_8_matrix_pivots_are_its_first_4200_columns(criterion_8_run):
     update of its elimination reads its multipliers in place."""
     assert criterion_8_run.pivots == [(4194301, list(range(4200)))]
     assert criterion_8_run.report.certified_by == 4194301
+
+
+def test_trials_and_prime_are_integers_not_truncated():
+    s = parse_system("L2(4,2^5)")  # rank deficient: every trial runs
+    with pytest.raises(TypeError):
+        effective_dim(s, trials=2.5, seed=1)
+    with pytest.raises(TypeError):
+        effective_dim(s, trials=2, seed=1, prime=101.0)
+    rep = effective_dim(s, trials=np.int64(2), seed=1, prime=np.int64(101))
+    assert rep == effective_dim(s, trials=2, seed=1, prime=101)
+    assert rep.trials_run == 2
+    assert type(rep.trials) is int and type(rep.prime) is int

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from fatpoints import interp, pipeline
@@ -227,3 +228,12 @@ def test_check_result_fields():
     c = CheckResult("x", "desc", 1, 1, True)
     assert c.note is None
     assert c.passed
+
+
+def test_run_config_integers_are_not_truncated():
+    for field in ("prime", "trials", "seed"):
+        with pytest.raises(TypeError):
+            RunConfig(**{field: 2.5})
+    cfg = RunConfig(prime=np.int64(1048573), trials=np.int64(2), seed=np.uint64(7))
+    assert cfg == RunConfig(prime=1048573, trials=2, seed=7)
+    assert all(type(x) is int for x in (cfg.prime, cfg.trials, cfg.seed))

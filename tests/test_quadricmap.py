@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from fatpoints.quadricmap import (
@@ -115,3 +116,12 @@ def test_image_inverts_back_to_bidegrees():
 def test_image_rejects_negative_degree():
     with pytest.raises(ValueError):
         to_planar(QuadricSystem(2, 2, 5, ()))
+
+
+def test_quadric_system_fields_are_integers_not_truncated():
+    for fields in [(1.5, 2), (2, 2.0), (2, 2, 1.0), (2, 2, 1, (1, 0.5))]:
+        with pytest.raises(TypeError):
+            QuadricSystem(*fields)
+    qs = QuadricSystem(np.int64(3), np.int64(2), np.int64(1), np.array([1, 1]))
+    assert qs == QuadricSystem(3, 2, 1, (1, 1))
+    assert all(type(x) is int for x in (qs.a, qs.b, qs.m0, *qs.tail))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from fatpoints.syscore import (
@@ -185,3 +186,13 @@ def test_constructor_validation():
         FatPointSystem(0, 3, ())
     with pytest.raises(ValueError):
         FatPointSystem(2, -1, ())
+
+
+def test_system_fields_are_integers_not_truncated():
+    for fields in [(2, 3, (1.5, 2.9)), (2, 3.0, (1, 2)), (2.0, 3, (1, 2))]:
+        with pytest.raises(TypeError):
+            FatPointSystem(*fields)
+    sys = FatPointSystem(np.int64(2), np.int64(3), np.array([1, 2]))
+    assert sys == FatPointSystem(2, 3, (1, 2))
+    assert all(type(x) is int for x in (sys.ambient_dim, sys.degree, *sys.mults))
+    assert vdim(sys) == 5
