@@ -6,9 +6,9 @@ report without the "command" key and `text` its plain output. `_dispatch`
 adds the "command" key and prints one of the two. `counterexample` renders
 its report through `pipeline` and exits 1 when a check fails.
 
-Exit codes: 0 success, 1 a verification check failed or sampling broke
-down, 2 malformed invocation or unparsable literal (messages carry the
-byte offset of the offending character).
+Exit codes: 0 success, 1 a verification check failed, sampling broke
+down or the run ran out of memory, 2 malformed invocation or unparsable
+literal (messages carry the byte offset of the offending character).
 """
 
 from __future__ import annotations
@@ -258,4 +258,7 @@ def cli_main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # e.g. a condition matrix too large to allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 1

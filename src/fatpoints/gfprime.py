@@ -106,51 +106,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in a prime field")
         return pow(a, -1, self.p)
 
-    def legendre(self, a: int) -> int:
-        """Euler criterion: 1 for nonzero squares, -1 for non-squares, 0 for 0."""
-        a %= self.p
-        if a == 0:
-            return 0
-        return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
-
-    def sqrt(self, a: int) -> int | None:
-        """A square root of a, or None when a is not a quadratic residue.
-
-        Tonelli-Shanks, with the exponent shortcut when p == 3 (mod 4).
-        Callers that sample points on a quadric treat None as "retry with
-        a fresh line", not as an error.
-        """
-        p = self.p
-        a %= p
-        if a == 0:
-            return 0
-        if self.legendre(a) != 1:
-            return None
-        if p & 3 == 3:
-            return pow(a, (p + 1) // 4, p)
-        q = p - 1
-        s = (q & -q).bit_length() - 1
-        q >>= s
-        z = 2
-        while self.legendre(z) != -1:
-            z += 1
-        c = pow(z, q, p)
-        x = pow(a, (q + 1) // 2, p)
-        t = pow(a, q, p)
-        m = s
-        while t != 1:
-            i = 0
-            t2i = t
-            while t2i != 1:
-                t2i = t2i * t2i % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            x = x * b % p
-            c = b * b % p
-            t = t * c % p
-            m = i
-        return x
-
 
 # ---------------------------------------------------------------------------
 # Modular reduction.  Kernels form sums and products in wrapping uint64

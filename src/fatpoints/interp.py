@@ -20,10 +20,15 @@ one draw at _CERT_PRIME, the largest prime whose residues are one 21-bit
 limb, where a product takes one float64 GEMM instead of six at 2**61 - 1.
 A full rank there is the answer; anything less is thrown away and the
 trials run at the requested prime as if the certificate had not been
-tried, so a special verdict never rests on the small prime.  Points on a
-quadric come from a square-root parametrisation, not from a uniform
-integer draw, and the argument does not cover them: constrained draws are
-never certified.
+tried, so a special verdict never rests on the small prime.  A point
+constrained to the quadric through nine earlier points is not a uniform
+integer draw: it is the second point where a random line through the first
+of the nine meets that quadric.  Such a line meets the quadric in at most
+one more point, found without a square root, and sending a line's
+direction to that second point inverts the projection of the quadric from
+the first point, which makes a random direction give a general point of
+the quadric.  The certificate argument does not cover these draws as it
+stands: constrained draws are never certified.
 
 Vanishing to order m at a point is imposed through iterated partial
 derivatives: all derivatives of order < m vanish.  This encodes the
@@ -90,8 +95,11 @@ class QuadricSampleError(RuntimeError):
 
 @dataclass(frozen=True)
 class OnQuadric:
-    """Constrains a sample point to lie on the quadric through the points
-    at the given indices (which must be drawn earlier and unconstrained)."""
+    """Constrains a sample point to lie on the quadric through the nine
+    points at the given indices, which must be distinct, earlier and
+    unconstrained.  The point is drawn by on_quadric on a random line
+    through the first of them, so it is a general point of the quadric
+    (see on_quadric)."""
 
     through: tuple[int, ...]
 
@@ -262,12 +270,15 @@ def _draw_once(count, n, field, rng, constraints) -> list[SamplePoint]:
         elif isinstance(c, OnQuadric):
             if n != 3:
                 raise ValueError("quadric constraints apply to points in P^3")
-            if any(t >= i for t in c.through):
-                raise ValueError("a quadric constraint may only reference earlier points")
             key = tuple(c.through)
+            if len(set(key)) != 9 or any(not 0 <= t < i or constraints[t] is not None for t in key):
+                raise ValueError(
+                    "a quadric constraint needs nine distinct earlier unconstrained "
+                    f"points, got {key}"
+                )
             if key not in quadrics:
                 quadrics[key] = quadric_through([pts[t] for t in key], field)
-            pts.append(on_quadric(quadrics[key], rng, field))
+            pts.append(on_quadric(quadrics[key], pts[key[0]], rng, field))
         else:
             raise TypeError(f"unknown constraint {c!r}")
     return pts
@@ -416,18 +427,24 @@ def quadric_through(points: list[SamplePoint], field: PrimeField) -> tuple[int, 
 
 def on_quadric(
     q,
+    point: SamplePoint,
     rng: np.random.Generator,
     field: PrimeField,
     *,
     counter: dict | None = None,
 ) -> SamplePoint:
-    """A random point on the quadric q, or QuadricSampleError.
+    """A random point of the quadric q other than `point`, which must lie
+    on q (else ValueError), or QuadricSampleError.
 
-    Draws a fresh random affine line, restricts q to it and solves the
-    quadratic with the field square root; non-residue discriminants and
-    degenerate (non-quadratic) restrictions are retried, about half of
-    all lines succeeding, up to _QUADRIC_LINES lines.  When `counter` is
-    given, counter["attempts"] records how many lines were tried.
+    Draws a random direction v and returns the second point where the line
+    point + t*v meets q.  As q(point) = 0, q restricts to the line as
+    a t^2 + b t, so that point is t = -b/a.  The map from v to it inverts
+    the projection of the quadric from `point`, so a random direction gives
+    a general point of the quadric.  Lines with a = 0 (in the quadric's
+    cone of directions) or b = 0 (tangent at `point`) are retried, up to
+    _QUADRIC_LINES lines; at a singular `point` every line is tangent.
+    When `counter` is given, counter["attempts"] records how many lines
+    were tried.
     """
     p = field.p
     coeffs = np.array([int(c) % p for c in q], dtype=np.uint64)
@@ -438,26 +455,22 @@ def on_quadric(
     def terms(pts):  # coeff_c * pt ** e_c mod p, one row per point, as ints
         return mulmod_vec(_monomial_values(pts, 3, 2, p), coeffs, p).astype(object)
 
+    point = tuple(int(x) % p for x in point)
     for attempt in range(1, _QUADRIC_LINES + 1):
-        base = tuple(int(x) for x in rng.integers(0, p, size=3, dtype=np.uint64))
         direction = tuple(int(x) for x in rng.integers(0, p, size=3, dtype=np.uint64))
-        shifted = tuple((bb + dd) % p for bb, dd in zip(base, direction))
-        # restrict to the line base + t*direction: a t^2 + b t + c, where a is
-        # the quadratic part at direction, c = q(base) and a + b + c = q(shifted)
-        at_d, at_base, at_shifted = terms([direction, base, shifted])
+        shifted = tuple((x + v) % p for x, v in zip(point, direction))
+        # restrict to the line point + t*direction: a t^2 + b t + c, where a is
+        # the quadratic part at direction, c = q(point) and a + b + c = q(shifted)
+        at_d, at_point, at_shifted = terms([direction, point, shifted])
         a = at_d[quadratic].sum() % p
-        c = at_base.sum() % p
-        b = (at_shifted.sum() - a - c) % p
-        if a == 0:
+        c = at_point.sum() % p
+        if c:
+            raise ValueError(f"base point {point} is not on the quadric {tuple(q)}")
+        b = (at_shifted.sum() - a) % p
+        if a == 0 or b == 0:
             continue
-        disc = (b * b - 4 * a * c) % p
-        root = field.sqrt(disc)
-        if root is None:
-            continue
-        if int(rng.integers(0, 2)) == 1:
-            root = (-root) % p
-        t = (root - b) % p * field.inv(2 * a % p) % p
-        pt = tuple((bb + t * dd) % p for bb, dd in zip(base, direction))
+        t = -b * field.inv(a) % p
+        pt = tuple((x + t * v) % p for x, v in zip(point, direction))
         if counter is not None:
             counter["attempts"] = attempt
         if terms([pt]).sum() % p:

@@ -157,7 +157,7 @@ class _Scanner:
         if allow_negative and self.i < len(self.text) and self.text[self.i] == "-":
             self.i += 1
         digits = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        while self.i < len(self.text) and self.text[self.i].isdecimal():
             self.i += 1
         if self.i == digits:
             raise SystemParseError(f"expected {what}", self.text, start)

@@ -543,6 +543,27 @@ def test_degenerate_configuration_after_the_retry_budget_exits_one(monkeypatch, 
     assert capsys.readouterr().err == "error: planted degenerate configuration\n"
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 1.18 PiB"), "Unable to allocate 1.18 PiB"),
+        (MemoryError(), "allocation failed"),
+    ],
+)
+def test_running_out_of_memory_exits_one(monkeypatch, capsys, exc, message):
+    """A system too large to build is a run that could not complete: an
+    `error:` line and exit 1, not a traceback."""
+
+    def too_large(sys_, pts, field):
+        raise exc
+
+    monkeypatch.setattr(interp, "_system_matrix", too_large)
+    assert cli_main(["special", "L3(100000,1)", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: out of memory: {message}\n"
+
+
 def test_environment_seed_is_used(monkeypatch, capsys):
     monkeypatch.setenv("FATPOINTS_SEED", "31")
     code = cli_main(["special", "L2(2,1)", "--json", "--trials", "1"])

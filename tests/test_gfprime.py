@@ -24,7 +24,6 @@ from fatpoints.gfprime import (
     mulmod_vec,
 )
 
-SMALL_PRIMES = [3, 5, 7, 13, 17, 101, 103, 7681]
 P40 = 2**40 - 87
 P62 = 4611686018427387847  # the largest prime below 2**62
 BACKEND_PRIMES = [101, 2147483629, 4294967311, P40, P62, MERSENNE61]
@@ -63,35 +62,6 @@ def test_inverse_property_random_large():
         for _ in range(50):
             a = rng.randrange(1, p)
             assert a * f.inv(a) % p == 1
-
-
-@pytest.mark.parametrize("p", SMALL_PRIMES)
-def test_square_roots_exhaustive(p):
-    f = PrimeField(p)
-    squares = {a * a % p for a in range(p)}
-    residue_count = 0
-    for a in range(p):
-        s = f.sqrt(a)
-        if a in squares:
-            assert s is not None and s * s % p == a
-            if a != 0:
-                residue_count += 1
-                assert f.legendre(a) == 1
-        else:
-            assert s is None
-            assert f.legendre(a) == -1
-    assert residue_count == (p - 1) // 2
-
-
-def test_square_roots_large_prime():
-    rng = random.Random(11)
-    f = PrimeField(MERSENNE61)
-    for _ in range(25):
-        a = rng.randrange(1, MERSENNE61)
-        sq = a * a % MERSENNE61
-        s = f.sqrt(sq)
-        assert s is not None and s * s % MERSENNE61 == sq
-        assert s in (a, MERSENNE61 - a)
 
 
 @pytest.mark.parametrize("p", BACKEND_PRIMES)

@@ -166,33 +166,72 @@ def test_quadric_through_rejects_degenerate_configurations():
         quadric_through(pts, field)
 
 
-def test_on_quadric_lands_on_the_surface_and_reports_attempts():
-    p = 101
-    field = PrimeField(p)
-    rng = np.random.default_rng(5)
-    pts = [tuple(int(v) for v in rng.integers(0, p, size=3)) for _ in range(9)]
-    q = quadric_through(pts, field)
-    counter: dict = {}
-    pt = on_quadric(q, np.random.default_rng(7), field, counter=counter)
+def _quadric_at(q, pt, p):
+    """q(pt) mod p with plain integers, over monomial_exponents(3, 2)."""
     total = 0
-    exps = monomial_exponents(3, 2)
-    for c, e in zip(q, exps):
+    for c, e in zip(q, monomial_exponents(3, 2)):
         term = c
         for coord, power in zip(pt, e):
             term = term * pow(coord, power, p) % p
         total = (total + term) % p
-    assert total == 0
-    assert counter["attempts"] >= 2  # this seed rejects at least one line
+    return total
+
+
+def _nine_points_and_quadric(p):
+    rng = np.random.default_rng(5)
+    pts = [tuple(int(v) for v in rng.integers(0, p, size=3)) for _ in range(9)]
+    return pts, quadric_through(pts, PrimeField(p))
+
+
+def test_on_quadric_lands_on_the_surface_and_reports_attempts():
+    p = 101
+    field = PrimeField(p)
+    pts, q = _nine_points_and_quadric(p)
+    counter: dict = {}
+    pt = on_quadric(q, pts[0], np.random.default_rng(9), field, counter=counter)
+    assert _quadric_at(q, pt, p) == 0
+    assert pt != pts[0]
+    assert counter["attempts"] == 2  # this seed's first line is rejected
 
 
 def test_on_quadric_gives_up_after_max_attempts():
     field = PrimeField(101)
     q = tuple([0, 0, 0, 1] + [0] * 6)  # the plane z = 0 counts as a quadric here
     with pytest.raises(QuadricSampleError) as info:
-        on_quadric(q, np.random.default_rng(1), field)  # a plane restricts to no line as a quadratic
+        # a plane restricts to no line as a quadratic
+        on_quadric(q, (5, 7, 0), np.random.default_rng(1), field)
     assert info.value.attempts == 64
     with pytest.raises(ValueError):
-        on_quadric((0,) * 10, np.random.default_rng(1), field)
+        on_quadric((0,) * 10, (0, 0, 0), np.random.default_rng(1), field)
+
+
+def test_on_quadric_rejects_a_base_point_off_the_surface():
+    p = 101
+    pts, q = _nine_points_and_quadric(p)
+    off = next(pt for pt in [(0, 0, 0), (1, 0, 0), (0, 1, 0)] if _quadric_at(q, pt, p))
+    with pytest.raises(ValueError, match="not on the quadric"):
+        on_quadric(q, off, np.random.default_rng(1), PrimeField(p))
+
+
+def test_on_quadric_gives_up_at_the_vertex_of_a_cone():
+    """Every line through the vertex of x^2 + y^2 - z^2 is tangent there
+    (b = 0), so no line gives a second point."""
+    field = PrimeField(101)
+    cone = (0, 0, 0, 0, 1, 0, 0, 1, 0, -1)
+    with pytest.raises(QuadricSampleError) as info:
+        on_quadric(cone, (0, 0, 0), np.random.default_rng(1), field)
+    assert info.value.attempts == 64
+
+
+def test_on_quadric_draws_stay_on_the_surface_and_off_the_base_point():
+    p = 101
+    field = PrimeField(p)
+    pts, q = _nine_points_and_quadric(p)
+    rng = np.random.default_rng(3)
+    draws = [on_quadric(q, pts[0], rng, field) for _ in range(500)]
+    assert all(_quadric_at(q, pt, p) == 0 for pt in draws)
+    assert pts[0] not in draws
+    assert len(set(draws)) > 250  # spread over the surface's ~p^2 points
 
 
 def test_fixed_component_detection():
@@ -211,15 +250,7 @@ def test_constrained_points_share_the_free_prefix():
     mixed = _draw_points(10, 3, field, np.random.default_rng(31), cons)
     assert mixed[:9] == free
     q = quadric_through(free, field)
-    last = mixed[9]
-    exps = monomial_exponents(3, 2)
-    total = 0
-    for c, e in zip(q, exps):
-        term = c
-        for coord, power in zip(last, e):
-            term = term * pow(coord, power, DEFAULT_PRIME) % DEFAULT_PRIME
-        total = (total + term) % DEFAULT_PRIME
-    assert total == 0
+    assert _quadric_at(q, mixed[9], DEFAULT_PRIME) == 0
 
 
 def test_constraint_validation():
@@ -232,6 +263,28 @@ def test_constraint_validation():
         )
     with pytest.raises(TypeError):
         effective_dim(s, seed=1, constraints=("bad", None))
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        (None,) * 9 + (OnQuadric(through=(-1,) + tuple(range(8))),),
+        (None,) * 9 + (OnQuadric(through=(0, 0) + tuple(range(1, 8))),),
+        (None,) * 9 + (OnQuadric(through=(0, 1, 2)),),
+        (None,) * 9 + (OnQuadric(through=tuple(range(10))),),
+        (None,) * 9 + (OnQuadric(through=tuple(range(1, 10))),),
+        (None,) * 9 + (OnQuadric(through=tuple(range(9))), OnQuadric(through=tuple(range(1, 10)))),
+    ],
+    ids=["negative", "repeated", "three", "ten", "itself", "constrained"],
+)
+def test_quadric_constraint_needs_nine_distinct_earlier_free_points(monkeypatch, constraints):
+    """A bad `through` is refused before any quadric is fitted, not after
+    the redraws run out."""
+    calls = _flaky_quadric(monkeypatch, failures=0)
+    count = len(constraints)
+    with pytest.raises(ValueError, match="nine distinct earlier unconstrained points"):
+        _draw_points(count, 3, PrimeField(101), np.random.default_rng(1), constraints)
+    assert len(calls) == (count == 11)  # only the valid first constraint fits one
 
 
 def test_peeling_with_contact_points_matches_general_counts():
@@ -297,19 +350,15 @@ def test_monomial_exponents_count_check_raises(monkeypatch):
 
 
 def test_on_quadric_raises_when_the_point_misses_the_surface():
-    class WrongRoots(PrimeField):
+    class WrongInverses(PrimeField):
         __slots__ = ()
 
-        def sqrt(self, a):
-            root = super().sqrt(a)
-            return None if root is None else (root + 1) % self.p
+        def inv(self, a):
+            return (super().inv(a) + 1) % self.p
 
-    field = WrongRoots(101)
-    rng = np.random.default_rng(5)
-    pts = [tuple(int(v) for v in rng.integers(0, 101, size=3)) for _ in range(9)]
-    q = quadric_through(pts, field)
+    pts, q = _nine_points_and_quadric(101)
     with pytest.raises(ArithmeticError, match="not on the quadric"):
-        on_quadric(q, np.random.default_rng(7), field)
+        on_quadric(q, pts[0], np.random.default_rng(7), WrongInverses(101))
 
 
 def _counted_system_matrix(monkeypatch):
@@ -431,15 +480,16 @@ def test_degenerate_quadric_raises_after_the_retry_budget(monkeypatch):
 
 
 # quadric_through coefficients for nine points drawn from default_rng(2026),
-# and the first two on_quadric points (with the line count after each) for
-# default_rng(0) and default_rng(5), recorded before the quadric code moved
-# onto _monomial_values.
+# recorded before the quadric code moved onto _monomial_values, and the first
+# two on_quadric points through the first of the nine (with the line count
+# after each) for default_rng(0) and default_rng(5), recorded when the sampler
+# moved from square roots on random lines to lines through a known point.
 QUADRIC_PINS = {
     101: (
         [(86, 18, 2), (64, 36, 47), (8, 37, 64), (35, 83, 79), (71, 91, 72),
          (17, 86, 65), (9, 30, 16), (97, 73, 92), (28, 64, 61)],
         (1, 54, 90, 58, 77, 34, 22, 87, 66, 53),
-        {0: [((89, 5, 89), 1), ((27, 87, 15), 7)], 5: [((62, 61, 3), 4), ((51, 14, 73), 3)]},
+        {0: [((51, 57, 82), 1), ((49, 84, 4), 1)], 5: [((28, 73, 47), 1), ((19, 29, 55), 1)]},
     ),
     2**31 - 1: (
         [(1829338324, 384259585, 56731231), (1374203058, 784857332, 1003451250),
@@ -450,8 +500,8 @@ QUADRIC_PINS = {
         (1, 389184435, 1411555073, 1624409803, 1672071440, 782101672, 2088904813,
          991614723, 1559202413, 1944446542),
         {
-            0: [((1697401048, 518336019, 898887872), 2), ((492724353, 1596208810, 790913863), 4)],
-            5: [((114817631, 305489972, 933647551), 3), ((882610284, 1752850620, 522430971), 1)],
+            0: [((1690254137, 1291992213, 1046366245), 1), ((140480248, 2052781104, 465908089), 1)],
+            5: [((646010632, 718999569, 161708624), 1), ((883001027, 1456374900, 1600651614), 1)],
         },
     ),
 }
@@ -467,7 +517,7 @@ def test_quadric_sampler_is_pinned_at_small_primes(p):
         rng = np.random.default_rng(seed)
         for want, lines in expected:
             counter: dict = {}
-            assert on_quadric(q, rng, field, counter=counter) == want
+            assert on_quadric(q, pts[0], rng, field, counter=counter) == want
             assert counter["attempts"] == lines
 
 

@@ -75,6 +75,11 @@ PARSE_ERRORS = [
     ("quadric", "(3,3;0;1;2)", 8, "expected ')'"),
     ("quadric", "(3,3;)", 5, "expected multiplicity at p0"),
     ("quadric", "(3,3;0; 1 ^ 0 )", 12, "repeat count must be >= 1"),
+    # digits are exactly the characters int() reads: no superscripts
+    ("system", "L3(²)", 3, "expected degree"),
+    ("system", "L3(9,6^²)", 7, "expected repeat count"),
+    ("class", "[²]", 1, "expected degree"),
+    ("quadric", "(3,²)", 3, "expected second bidegree"),
     # lists longer than MAX_MULTS are refused before they are expanded
     ("system", "L2(3,1^10001)", 7, "more than 10000 multiplicities"),
     ("system", "L2(3,1^3000000)", 7, "more than 10000 multiplicities"),
