@@ -9,9 +9,12 @@ probability on the order of (degree)/p per trial.
 The rank engine is a recursive block elimination (PLE decomposition).
 Column panels are split in half down to a small leaf width (a panel wider
 than the rows left is cut no further left than where it could give every
-row a pivot), and the elimination stops once every row has a pivot;
-pivoting inside a leaf is classical row elimination, while cross-panel
-updates are delayed and applied as matrix products.  Before its rows update
+row a pivot), and the elimination stops once every row has a pivot.
+A leaf first factors its top square block without pivoting; when no
+pivot of it is zero, the leaf needs no row swap, and the rows below get
+their multipliers from one product.  Otherwise it falls back to
+classical row elimination.  Cross-panel updates are delayed and applied
+as matrix products.  Before its rows update
 the rest, a block of pivot rows is brought up to date by a triangular solve
 with its unit-lower multipliers.  Each recursion node returns its pivot
 block with the inverse of those multipliers: a leaf builds it by forward
@@ -442,17 +445,85 @@ class _Kernel:
                 np.minimum(v, tmp, out=v)
 
 
-def _ple_leaf(a, kern, r0, c0, c1, pivs):
-    """Classical elimination of columns [c0, c1) from row r0 down; returns
-    the leaf's pivot block (see _ple).
+def _unit_lower_inverse(low, p):
+    """The inverse of the unit-lower matrix whose multipliers are the
+    entries below the diagonal of the r x r list low, by forward
+    substitution over Python integers: row t of L^-1 is
+    e_t - sum over s < t of L[t, s] * (row s of L^-1)."""
+    inv: list[list[int]] = []
+    for t in range(len(low)):
+        row = [0] * len(low)
+        row[t] = 1
+        for s in range(t):
+            f = low[t][s]
+            if f:
+                for u in range(s + 1):
+                    row[u] -= f * inv[s][u]
+        inv.append([v % p for v in row])
+    return np.array(inv, dtype=np.uint64)
 
-    The columns are worked on in a contiguous copy, so the per-pivot column
-    updates stay in cache; row swaps also go to the full rows of a.  The
-    inverse of the unit-lower multipliers of the r <= c1 - c0 pivot rows is
-    built by forward substitution over Python integers:
-    row t of L^-1 is e_t - sum over s < t of L[t, s] * (row s of L^-1).
+
+def _lu_no_pivot(b, p):
+    """Factor the w x w list b in place into its packed LU, U's diagonal
+    included, without pivoting, over Python integers; returns U^-1 as a
+    list of rows, or None at the first zero pivot."""
+    w = len(b)
+    for j in range(w):
+        d = b[j][j]
+        if not d:
+            return None
+        d = pow(d, -1, p)
+        pivot_row = b[j]
+        for row in b[j + 1 :]:
+            f = row[j] = row[j] * d % p
+            if f:
+                for k in range(j + 1, w):
+                    row[k] = (row[k] - f * pivot_row[k]) % p
+    uinv = [[0] * w for _ in range(w)]
+    for i in reversed(range(w)):  # back substitution, one row of U^-1 at a time
+        d = pow(b[i][i], -1, p)
+        uinv[i][i] = d
+        for j in range(i + 1, w):
+            s = sum(b[i][k] * uinv[k][j] for k in range(i + 1, j + 1))
+            uinv[i][j] = -s * d % p
+    return uinv
+
+
+def _ple_leaf(a, kern, r0, c0, c1, pivs):
+    """Elimination of columns [c0, c1) from row r0 down by the classical
+    rule (leftmost column, first nonzero row); returns the leaf's pivot
+    block (see _ple).
+
+    When the panel has at least w = c1 - c0 rows, its top w x w block B is
+    first factored without pivoting over Python integers.  If every pivot
+    of that LU is nonzero, the classical rule takes exactly these pivots:
+    at column j the first candidate is row j, whose updated entry is the
+    ratio of B's leading minors D_{j+1} / D_j != 0.  So no row is swapped,
+    the pivots are columns c0 .. c1 - 1 in rows r0 .. r0 + w - 1, the top
+    rows get B's packed LU, and the rows below, A_below = L_below U, get
+    their multipliers A_below U^-1 in one product.  The no-pivot LU and the
+    multipliers below are unique, so the eliminated entries and the pivot
+    block are those of the classical loop.  At a zero pivot nothing has
+    been written to a, and the classical loop runs from the start.
+
+    The classical loop works on the columns in a contiguous copy, so the
+    per-pivot column updates stay in cache; row swaps also go to the full
+    rows of a.  Either way the pivot block is the inverse of the
+    unit-lower multipliers of the r <= w pivot rows (_unit_lower_inverse).
     """
     p = kern.p
+    w = c1 - c0
+    if a.shape[0] - r0 >= w:
+        top = a[r0 : r0 + w, c0:c1]
+        lu = top.tolist()
+        uinv = _lu_no_pivot(lu, p)
+        if uinv is not None:
+            top[...] = lu
+            below = a[r0 + w :, c0:c1]
+            if len(below):
+                below[...] = kern.matmul_mod(below, np.array(uinv, dtype=np.uint64))
+            pivs.extend(range(c0, c1))
+            return _unit_lower_inverse(lu, p)
     panel = a[r0:, c0:c1].copy()
     m, w = panel.shape
     r = 0
@@ -482,18 +553,7 @@ def _ple_leaf(a, kern, r0, c0, c1, pivs):
     a[r0:, c0:c1] = panel
     if not r:
         return None
-    low = panel[:r, cols].tolist()
-    inv: list[list[int]] = []
-    for t in range(r):
-        row = [0] * r
-        row[t] = 1
-        for s in range(t):
-            f = low[t][s]
-            if f:
-                for u in range(s + 1):
-                    row[u] -= f * inv[s][u]
-        inv.append([v % p for v in row])
-    return np.array(inv, dtype=np.uint64)
+    return _unit_lower_inverse(panel[:r, cols].tolist(), p)
 
 
 def _join(a, kern, r0, cols, h, lo, hi):

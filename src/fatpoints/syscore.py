@@ -117,12 +117,16 @@ MAX_MULTS = 10_000
 
 
 class SystemParseError(ValueError):
-    """Parse failure carrying the byte offset of the offending character."""
+    """Parse failure carrying the byte offset of the offending character.
 
-    def __init__(self, message: str, text: str, offset: int):
-        self.offset = offset
+    The parsers pass a character index; the offset is that of the
+    character in the UTF-8 encoding of text.
+    """
+
+    def __init__(self, message: str, text: str, index: int):
+        self.offset = len(text[:index].encode())
         self.text = text
-        super().__init__(f"{message} at byte {offset} in {text!r}")
+        super().__init__(f"{message} at byte {self.offset} in {text!r}")
 
 
 class _Scanner:

@@ -499,6 +499,56 @@ def _classical_leaf(a, p, r0, c0, c1):
     return a, pivots
 
 
+def _leaf_paths(monkeypatch):
+    """Record (r0, c0, c1, product) of every _ple_leaf call: product is True
+    when the leaf's probe factored its top block without a zero pivot, so
+    the leaf took the product path, and False when it fell back to the
+    classical loop, or had fewer rows than columns and did not probe."""
+    calls, probes = [], []
+    leaf, lu = gfprime._ple_leaf, gfprime._lu_no_pivot
+
+    def probed(b, p):
+        out = lu(b, p)
+        probes.append(out is not None)
+        return out
+
+    def recorded(a, kern, r0, c0, c1, pivs):
+        probes.clear()
+        block = leaf(a, kern, r0, c0, c1, pivs)
+        calls.append((r0, c0, c1, probes == [True]))
+        return block
+
+    monkeypatch.setattr(gfprime, "_lu_no_pivot", probed)
+    monkeypatch.setattr(gfprime, "_ple_leaf", recorded)
+    return calls
+
+
+def _assert_leaf_is_classical(a, p, r0, c0, c1):
+    """Eliminate the leaf [c0, c1) from row r0 of a in place and check it
+    against _classical_leaf: every entry of a (the eliminated panel and
+    the swapped full rows), the pivot columns, and the returned block as
+    the inverse of the stored unit-lower multipliers of the pivot rows."""
+    want, want_pivots = _classical_leaf(a, p, r0, c0, c1)
+    pivots: list[int] = []
+    block = gfprime._ple_leaf(a, _Kernel(p), r0, c0, c1, pivots)
+    assert pivots == want_pivots
+    assert (a.astype(object) == want).all()
+    _assert_block(a, p, r0, pivots, block)
+
+
+def _unit_lower_upper(rng, p, w, fill, zero_at=None):
+    """L U mod p for a random unit-lower L and upper U of order w: its
+    leading minors are the products of U's leading diagonal entries, all
+    nonzero unless U[zero_at, zero_at] is set to 0."""
+    low = np.tril(_residues_mod(p, rng, (w, w), fill), -1) + np.eye(w, dtype=np.uint64)
+    up = np.triu(_residues_mod(p, rng, (w, w), fill))
+    diag = rng.integers(1, p, size=w, dtype=np.uint64)
+    up[np.arange(w), np.arange(w)] = np.where(up.diagonal() == 0, diag, up.diagonal())
+    if zero_at is not None:
+        up[zero_at, zero_at] = 0
+    return _int_matmul_mod(low, up, p).astype(np.uint64)
+
+
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 @given(
     seed=st.integers(0, 2**32 - 1), fill=st.sampled_from(("max", "edges")), rows=st.integers(1, 300)
@@ -510,15 +560,90 @@ def _classical_leaf(a, p, r0, c0, c1):
 def test_ple_leaf_matches_classical_elimination(p, seed, fill, rows):
     """The leaf's column scaling and rank-1 updates, at the largest
     operands and at 0, 1 and p - 1, against Python integers: the eliminated
-    panel, the row swaps of the full rows and the pivot columns."""
+    panel, the row swaps of the full rows, the pivot columns and the
+    pivot block."""
     rng = np.random.default_rng(seed)
     a = _residues_mod(p, rng, (rows + 1, gfprime._LEAF_W + 2), fill)
-    c1 = gfprime._LEAF_W + 1
-    want, want_pivots = _classical_leaf(a, p, 1, 1, c1)
-    pivots: list[int] = []
-    gfprime._ple_leaf(a, _Kernel(p), 1, 1, c1, pivots)
-    assert pivots == want_pivots
-    assert (a.astype(object) == want).all()
+    _assert_leaf_is_classical(a, p, 1, 1, gfprime._LEAF_W + 1)
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    fill=st.sampled_from(EDGE_FILLS),
+    w=st.integers(1, gfprime._LEAF_W),
+    below=st.integers(0, 300),
+)
+@settings(max_examples=10, deadline=None)
+@example(seed=0, fill="max", w=gfprime._LEAF_W, below=0)
+@example(seed=1, fill="edges", w=gfprime._LEAF_W, below=300)
+@example(seed=2, fill="random", w=1, below=5)
+def test_ple_leaf_without_row_swaps_takes_the_product_path(p, seed, fill, w, below):
+    """A panel whose top w x w block has nonzero leading minors, with any
+    rows below it: the probe succeeds, and the packed LU on top, the
+    multipliers below from one product and the block are the classical
+    loop's."""
+    rng = np.random.default_rng(seed)
+    a = _residues_mod(p, rng, (1 + w + below, w + 2), fill)
+    a[1 : 1 + w, 1 : 1 + w] = _unit_lower_upper(rng, p, w, fill)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _leaf_paths(mp)
+        _assert_leaf_is_classical(a, p, 1, 1, 1 + w)
+    assert calls == [(1, 1, 1 + w, True)]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+@pytest.mark.parametrize("zero_at", [0, gfprime._LEAF_W // 2, gfprime._LEAF_W - 1])
+@pytest.mark.parametrize("fill", EDGE_FILLS)
+def test_ple_leaf_falls_back_after_a_partial_probe(p, zero_at, fill, monkeypatch):
+    """A zero leading minor of the top block at the leaf's first, middle or
+    last column: the probe stops there, after factoring the columns before
+    it, and the classical loop, run on the untouched panel, swaps a row
+    from below into the pivot row."""
+    w = gfprime._LEAF_W
+    rng = np.random.default_rng(p % 983 + zero_at)
+    a = _residues_mod(p, rng, (1 + w + 12, w + 2), fill)
+    a[1 : 1 + w, 1 : 1 + w] = _unit_lower_upper(rng, p, w, fill, zero_at)
+    a[1 + w, 1 + zero_at] = 1  # a row below that can take the pivot
+    calls = _leaf_paths(monkeypatch)
+    _assert_leaf_is_classical(a, p, 1, 1, 1 + w)
+    assert calls == [(1, 1, 1 + w, False)]
+
+
+def _swapped_once(p, n, swap_at):
+    """An n x n matrix of full rank mod p, P L U with L unit lower and U
+    upper with nonzero diagonal: with swap_at None its leading minors are
+    all nonzero; otherwise L[swap_at + 1, swap_at] = 0 and P swaps rows
+    swap_at and swap_at + 1, so classical elimination swaps them back at
+    column swap_at and nowhere else."""
+    rng = np.random.default_rng(n)
+    low = np.tril(rng.integers(0, p, size=(n, n), dtype=np.uint64), -1) + np.eye(n, dtype=np.uint64)
+    up = np.triu(rng.integers(0, p, size=(n, n), dtype=np.uint64))
+    up[np.arange(n), np.arange(n)] = rng.integers(1, p, size=n, dtype=np.uint64)
+    if swap_at is not None:
+        low[swap_at + 1, swap_at] = 0
+    a = _Kernel(p).matmul_mod(low, up)
+    if swap_at is not None:
+        a[[swap_at, swap_at + 1]] = a[[swap_at + 1, swap_at]]
+    return a
+
+
+@pytest.mark.parametrize("swap_at", [None, 0, 150, 297])
+def test_every_leaf_without_a_row_swap_takes_the_product_path(swap_at, monkeypatch):
+    """A 300 x 300 matrix of full rank at the one-limb prime 4194301: every
+    leaf takes the product path, except the one leaf whose columns hold a
+    planted row swap."""
+    p = 4194301
+    a = _swapped_once(p, 300, swap_at)
+    calls = _leaf_paths(monkeypatch)
+    assert _rank_with_pivots(a, p) == (300, list(range(300)))
+    assert all(300 - r0 >= c1 - c0 for r0, c0, c1, _ in calls)
+    fallbacks = [(c0, c1) for _, c0, c1, product in calls if not product]
+    if swap_at is None:
+        assert fallbacks == []
+    else:
+        assert len(fallbacks) == 1 and fallbacks[0][0] <= swap_at < fallbacks[0][1]
+    assert sum(c1 - c0 for _, c0, c1, _ in calls) == 300
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)

@@ -583,6 +583,14 @@ def test_criterion_8_matrix_pivots_are_its_first_4200_columns(criterion_8_run):
     assert criterion_8_run.report.certified_by == 4194301
 
 
+def test_criterion_8_leaves_mostly_take_the_product_path(criterion_8_run):
+    """Of the criterion-8 elimination's 616 leaves, 593 factor their top
+    block with no zero pivot and give the rows below their multipliers in
+    one product; the other 23 need a row swap and fall back."""
+    assert len(criterion_8_run.probes) == 616
+    assert sum(criterion_8_run.probes) == 593
+
+
 def test_trials_and_prime_are_integers_not_truncated():
     s = parse_system("L2(4,2^5)")  # rank deficient: every trial runs
     with pytest.raises(TypeError):

@@ -80,6 +80,11 @@ PARSE_ERRORS = [
     ("system", "L3(9,6^²)", 7, "expected repeat count"),
     ("class", "[²]", 1, "expected degree"),
     ("quadric", "(3,²)", 3, "expected second bidegree"),
+    # offsets count UTF-8 bytes: a non-ASCII space before the error takes 2 or 3
+    ("system", "L3(\u3000x)", 6, "expected degree"),
+    ("system", "L3(9,\u00a06 x)", 9, "expected ','"),
+    ("class", "[\u20033;1 x]", 8, "expected ']'"),
+    ("quadric", "(3,3;0;\u30001 x)", 12, "expected ')'"),
     # lists longer than MAX_MULTS are refused before they are expanded
     ("system", "L2(3,1^10001)", 7, "more than 10000 multiplicities"),
     ("system", "L2(3,1^3000000)", 7, "more than 10000 multiplicities"),
