@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,8 +59,12 @@ DEFAULT_PRIME = MERSENNE61
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3e24."""
+    """Deterministic primality test for n < 3.3e24.
+
+    Memoised: every PrimeField runs it, and the rank oracle builds a field
+    for each call on the same few primes."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:

@@ -18,17 +18,38 @@ the generic rank is at least that minor's size (Schwartz, JACM 1980,
 bounds how often a draw misses it).  effective_dim therefore first ranks
 one draw at _CERT_PRIME, the largest prime whose residues are one 21-bit
 limb, where a product takes one float64 GEMM instead of six at 2**61 - 1.
-A full rank there is the answer; anything less is thrown away and the
-trials run at the requested prime as if the certificate had not been
-tried, so a special verdict never rests on the small prime.  A point
-constrained to the quadric through nine earlier points is not a uniform
-integer draw: it is the second point where a random line through the first
-of the nine meets that quadric.  Such a line meets the quadric in at most
-one more point, found without a square root, and sending a line's
-direction to that second point inverts the projection of the quadric from
-the first point, which makes a random direction give a general point of
-the quadric.  The certificate argument does not cover these draws as it
-stands: constrained draws are never certified.
+A rank at the ceiling there is the answer; anything less is thrown away
+and the trials run at the requested prime as if the certificate had not
+been tried.
+
+A known floor on the generic h0 lowers the ceiling to monomials - floor.
+_peel passes one: when the residual after a fixed divisor has an exact h0
+(certified, or without conditions) and the fixed system has more
+monomials than conditions, so a nonzero fixed form exists at any points,
+multiplying by that form embeds the residual into the system, and the
+generic h0 of the system is at least the residual's.  The rank at q is
+then at most the rank over Q at the lifted points, at most the generic
+rank, at most monomials - floor; a rank at q that reaches it makes every
+step an equality.  So a special system whose excess comes from a fixed
+component is certified like a full-rank one.
+
+A point constrained to the quadric through nine earlier points is not a
+uniform integer draw: it is the second point where a random line through
+the first of the nine meets that quadric.  Such a line meets the quadric
+in at most one more point, found without a square root, and sending a
+line's direction to that second point inverts the projection of the
+quadric from the first point, which makes a random direction give a
+general point of the quadric.  These draws are certified too.  The nine
+points lifted to integers have a 9 x 10 monomial matrix of rank 9 over Q,
+as its rank mod q is 9, so the rational quadric through them is unique
+and its primitive kernel vector reduces to the quadric found mod q.
+on_quadric returns only when a is nonzero mod q, so t = -b/a is
+q-integral and every contact point is the reduction of a rational point
+of the rational quadric.  The configurations with contact points form one
+irreducible family, so a minor that is nonzero at one of its points is
+nonzero at a general one.  A certificate draw that cannot be sampled
+(DegenerateConfigurationError, QuadricSampleError) certifies nothing, and
+the trials run.
 
 Vanishing to order m at a point is imposed through iterated partial
 derivatives: all derivatives of order < m vanish.  This encodes the
@@ -115,11 +136,12 @@ class RankReport:
     degree + 1 empties the system identically).  `trials` is the number
     of trials requested and `trials_run` the number whose ranks the report
     keeps: fewer when a trial reaches the ceiling min(conditions,
-    monomials), and 0 for analytic verdicts and systems without
-    conditions.  `certified_by` is _CERT_PRIME when one rank at that prime
-    reached the ceiling and is the report's rank (`trials_run` is then 1),
-    else None; a certificate that fell short counts in neither field.
-    Neither field enters any JSON.
+    monomials, monomials - floor), and 0 for analytic verdicts and systems
+    without conditions.  `certified_by` is _CERT_PRIME when one rank at
+    that prime reached the ceiling and is the report's rank (`trials_run`
+    is then 1), else None; a certificate that fell short counts in neither
+    field.  `floor` is the proven lower bound on h0 that the ceiling used
+    (0 when none was given).  None of the three enters any JSON.
     """
 
     system: FatPointSystem
@@ -137,6 +159,7 @@ class RankReport:
     analytic: bool = False
     trials_run: int = 0
     certified_by: int | None = None
+    floor: int = 0
 
 
 @lru_cache(maxsize=None)
@@ -230,10 +253,11 @@ def _monomial_values(pts: list[SamplePoint], n: int, d: int, p: int) -> np.ndarr
 
 
 # The largest prime whose residues are one 21-bit limb, (q - 1)**2 <
-# 2**_LIMB_PRODUCT_BITS: full ranks of unconstrained draws are certified here.
+# 2**_LIMB_PRODUCT_BITS: ranks that reach their ceiling are certified here.
 _CERT_PRIME = next(
     q for q in range(math.isqrt((1 << _LIMB_PRODUCT_BITS) - 1) + 1, 1, -1) if is_prime(q)
 )
+_CERT_FIELD = PrimeField(_CERT_PRIME)
 
 # Draws of one trial's points before a degenerate configuration is an error.
 _DRAW_ATTEMPTS = 8
@@ -316,6 +340,7 @@ def effective_dim(
     seed: int | None = None,
     prime: int = DEFAULT_PRIME,
     constraints=None,
+    floor: int = 0,
 ) -> RankReport:
     """Monte Carlo effective dimension of a fat-point system.
 
@@ -326,20 +351,24 @@ def effective_dim(
     overcounted, so special = true is wrong only with probability about
     (degree of the relevant degeneracy locus) / p per trial.
 
-    The trials stop early once the rank reaches min(conditions,
-    monomials), which no later trial can exceed, so the reported rank is
+    `floor` is a proven lower bound on the generic h0, 0 <= floor <=
+    monomials (else ValueError); only _peel passes one.  The rank ceiling
+    is min(conditions, monomials, monomials - floor), and a rank above it
+    raises VirtualBoundError.  The trials stop early once the rank reaches
+    the ceiling, which no later trial can exceed, so the reported rank is
     the one all trials would give; `trials_run` records how many ran.
 
-    Before the first trial, when the draw is unconstrained (`constraints`
-    None or all None) and `prime` exceeds _CERT_PRIME, the first trial's
-    points are drawn mod _CERT_PRIME instead, from a fresh generator on
-    the same seed child, and ranked once.  Reaching the ceiling there
-    proves the rank in characteristic 0 (see the module docstring): the
-    report keeps it, with `certified_by` = _CERT_PRIME and `trials_run`
-    = 1.  Otherwise that rank is discarded and the trials run at `prime`
-    exactly as without it: same seed children, same points, same ranks.
-    The fields a JSON report reads (rank, h0, special, ...) are the same
-    either way whenever the trials at `prime` reach the generic rank.
+    Before the first trial, when `prime` exceeds _CERT_PRIME, the first
+    trial's points are drawn mod _CERT_PRIME instead, with the same
+    constraints, from a fresh generator on the same seed child, and ranked
+    once.  Reaching the ceiling there proves the rank in characteristic 0
+    (see the module docstring): the report keeps it, with `certified_by` =
+    _CERT_PRIME and `trials_run` = 1.  Otherwise that rank is discarded,
+    as is a draw that raised DegenerateConfigurationError or
+    QuadricSampleError, and the trials run at `prime` exactly as without
+    it: same seed children, same points, same ranks.  The fields a JSON
+    report reads (rank, h0, special, ...) are the same either way whenever
+    the trials at `prime` reach the generic rank.
 
     The same (seed, trials, prime, constraints) produce the same points
     for any system with the same number of base points, which is what
@@ -354,10 +383,13 @@ def effective_dim(
     prime = field.p
     if prime <= sys.degree:
         raise ValueError(f"prime {prime} must exceed the degree {sys.degree}")
+    monomials = sys.monomial_count()
+    floor = operator.index(floor)
+    if not 0 <= floor <= monomials:
+        raise ValueError(f"need 0 <= floor <= {monomials} monomials, got {floor}")
     if seed is None:
         seed = secrets.randbits(64)
     n, d = sys.ambient_dim, sys.degree
-    monomials = sys.monomial_count()
     conditions = sys.condition_count()
     v = vdim(sys)
     expected = edim_expected(sys)
@@ -367,16 +399,22 @@ def effective_dim(
     if analytic:
         rank = monomials  # a multiplicity above d+1 kills every form
     elif conditions:
-        ceiling = min(conditions, monomials)
+        ceiling = min(conditions, monomials - floor)
         seeds = np.random.SeedSequence(seed)
         # children one at a time: the same as spawn(trials), without
         # holding a child for every trial that an early stop skips
         child = seeds.spawn(1)[0]
-        if prime > _CERT_PRIME and (constraints is None or all(c is None for c in constraints)):
-            cert = PrimeField(_CERT_PRIME)
-            pts = _draw_points(sys.npoints, n, cert, np.random.default_rng(child), None)
-            if _system_matrix(sys, pts, cert).rank() == ceiling:
-                rank, trials_run, certified_by = ceiling, 1, _CERT_PRIME
+        if prime > _CERT_PRIME:
+            try:
+                pts = _draw_points(
+                    sys.npoints, n, _CERT_FIELD, np.random.default_rng(child), constraints
+                )
+            except (DegenerateConfigurationError, QuadricSampleError):
+                pass  # no certificate: the trials decide
+            else:
+                cert = _system_matrix(sys, pts, _CERT_FIELD).rank()
+                if cert >= ceiling:  # above it, the bound check below raises
+                    rank, trials_run, certified_by = cert, 1, _CERT_PRIME
         while rank < ceiling and trials_run < trials:
             if trials_run:
                 child = seeds.spawn(1)[0]
@@ -384,9 +422,9 @@ def effective_dim(
             rank = max(rank, _system_matrix(sys, pts, field).rank())
             trials_run += 1
     h0 = monomials - rank
-    if h0 < max(v + 1, 0):
+    if h0 < max(v + 1, 0, floor):
         raise VirtualBoundError(
-            f"rank {rank} exceeds the virtual bound for {sys}: h0={h0} < {max(v + 1, 0)}"
+            f"rank {rank} exceeds the virtual bound for {sys}: h0={h0} < {max(v + 1, 0, floor)}"
         )
     edim_actual = h0 - 1
     return RankReport(
@@ -405,6 +443,7 @@ def effective_dim(
         analytic=analytic,
         trials_run=trials_run,
         certified_by=certified_by,
+        floor=floor,
     )
 
 
@@ -499,11 +538,12 @@ def fixed_component_test(
     A side whose rank is certified (`RankReport.certified_by`) has its
     exact generic h0, from points drawn mod the certifying prime, so only
     an uncertified side is read at the shared draws; its h0 stays an
-    upper bound for the generic one.  With the residual certified, equal
-    h0 proves the split: h0(sys) as reported >= generic h0(sys) >= generic
-    h0(residual) = h0(residual).  With sys certified, equal h0 can err
-    only when the residual's rank fell short, the one-sided miss of any
-    uncertified rank.
+    upper bound for the generic one.  When the residual's h0 is exact and
+    `fixed` has more monomials than conditions, _peel ranks sys with that
+    h0 as its floor; an h0 of sys equal to it is then a rank at the
+    lowered ceiling, which is exact, so True is a proof.  Otherwise an
+    answer can err only when an uncertified rank fell short, the
+    one-sided miss of any Monte Carlo rank.
     """
     if seed is None:
         seed = secrets.randbits(64)
@@ -514,10 +554,22 @@ def fixed_component_test(
 def _peel(sys: FatPointSystem, fixed: FatPointSystem, constraints=None, **mc):
     """The reports of `sys` and of its residual after `fixed`, in that order,
     ranked with the same `effective_dim` settings `mc` and constraints, so on
-    identical point draws for a set seed, except on a side whose full rank
-    is certified at _CERT_PRIME, whose h0 is then exact. Equal h0 means
-    `fixed` divides every member of `sys` (see `fixed_component_test` for
-    a comparison with one side certified)."""
-    full = effective_dim(sys, constraints=constraints, **mc)
+    identical point draws for a set seed, except on a side whose rank is
+    certified at _CERT_PRIME, whose h0 is then exact.  Equal h0 means
+    `fixed` divides every member of `sys` (see `fixed_component_test`).
+
+    The residual is ranked first.  Its h0 is a floor for the generic h0 of
+    `sys` when it is exact (certified, or no conditions) and `fixed` is
+    nonempty by counting, with more monomials than conditions: a fixed
+    form times the residual embeds it into `sys` (the residual's
+    multiplicities are truncated at 0, which keeps that true).  `sys` is
+    then ranked with that floor, so a rank at its lowered ceiling is
+    certified and h0(sys) == h0(residual) is a proof that `fixed` splits
+    off."""
     rest = effective_dim(residual(sys, fixed), constraints=constraints, **mc)
+    exact = rest.certified_by is not None or not rest.conditions
+    nonempty = fixed.monomial_count() > fixed.condition_count()
+    full = effective_dim(
+        sys, constraints=constraints, floor=rest.h0 if exact and nonempty else 0, **mc
+    )
     return full, rest

@@ -46,6 +46,28 @@ def test_field_constructor_validation():
         PrimeField(2**62 + 57)  # prime, but beyond the supported width
 
 
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(-5, 10**6))
+def test_memoised_primality_matches_trial_division(n):
+    """Asked twice, so the second answer comes from the cache."""
+    assert is_prime(n) == _trial_division(n) == is_prime(n)
+
+
+@pytest.mark.parametrize("n", [4, 91, 561, 4194303, MERSENNE61 - 2, P62 - 2])
+def test_field_rejects_composites_after_caching(n):
+    """A memoised verdict still rejects every non-field modulus, 2 and
+    primes from 2**62 included, however often it is asked."""
+    for _ in range(2):
+        for bad in (n, 2, 2**62 + 57):
+            with pytest.raises(ValueError):
+                PrimeField(bad)
+    assert is_prime.cache_info().maxsize is not None  # the cache is bounded
+
+
 def test_arithmetic_exhaustive_mod_7():
     f = PrimeField(7)
     for a in range(1, 7):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -297,6 +298,85 @@ def test_peeling_with_contact_points_matches_general_counts():
     assert rep.h0 == 4
 
 
+def _rational_kernel_vector(rows):
+    """The kernel of a rational matrix of nullity 1, by Gauss-Jordan over Q."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        r = next((i for i in range(len(pivots), len(rows)) if rows[i][col]), None)
+        if r is None:
+            continue
+        k = len(pivots)
+        rows[k], rows[r] = rows[r], rows[k]
+        rows[k] = [x / rows[k][col] for x in rows[k]]
+        for i in range(len(rows)):
+            if i != k and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[k])]
+        pivots.append(col)
+    (free,) = set(range(len(rows[0]))) - set(pivots)
+    vec = [Fraction(0)] * len(rows[0])
+    vec[free] = Fraction(1)
+    for k, col in enumerate(pivots):
+        vec[col] = -rows[k][free]
+    return vec
+
+
+def test_contact_points_lift_to_rational_points_of_the_rational_quadric():
+    """The argument that certifies on-quadric draws, on L3(5,4,2^8,1^2) with
+    two contact points.  The same generator drawn over Q: the nine free
+    points lifted to integers, the rational quadric through them (unique),
+    and each contact point at t = -b/a on the same lines.  Every
+    denominator is prime to q, the rational quadric and points reduce to
+    the ones drawn mod q, and the integer condition matrix (each row's
+    denominators cleared) reduces to the one built mod q, row by row up to
+    the unit that cleared them; its rank mod q, so a minor over Q, is full."""
+    q = interp._CERT_PRIME
+    field = PrimeField(q)
+    sys = parse_system("L3(5,4,2^8,1^2)")
+    on_q = OnQuadric(through=tuple(range(9)))
+    drawn = _draw_points(11, 3, field, np.random.default_rng(17), (None,) * 9 + (on_q, on_q))
+
+    def mod_q(x):
+        assert x.denominator % q
+        return x.numerator * pow(x.denominator, -1, q) % q
+
+    rng = np.random.default_rng(17)
+    free = [tuple(Fraction(int(x)) for x in rng.integers(0, q, size=3, dtype=np.uint64)) for _ in range(9)]
+    exps = monomial_exponents(3, 2)
+    quad = _rational_kernel_vector(_reference_matrix(FatPointSystem(3, 2, (1,) * 9), free, None))
+    quad_q = [mod_q(c) for c in quad]
+    lead = next(c for c in quad_q if c)
+    assert tuple(c * field.inv(lead) % q for c in quad_q) == quadric_through(drawn[:9], field)
+
+    def form(pt, quadratic_only=False):
+        return sum(
+            c * math.prod(x**k for x, k in zip(pt, e))
+            for c, e in zip(quad, exps)
+            if sum(e) == 2 or not quadratic_only
+        )
+
+    base, contacts = free[0], []
+    while len(contacts) < 2:  # on_quadric's lines, with its retry rule read mod q
+        v = tuple(int(x) for x in rng.integers(0, q, size=3, dtype=np.uint64))
+        a = form(v, quadratic_only=True)
+        b = form(tuple(x + y for x, y in zip(base, v))) - a  # form(base) = 0
+        if mod_q(a) and mod_q(b):
+            t = -b / a
+            contacts.append(tuple(x + t * y for x, y in zip(base, v)))
+            assert form(contacts[-1]) == 0
+    config = free + contacts
+    assert all(x.denominator > 1 for pt in contacts for x in pt)  # rational, not integer
+    assert [tuple(mod_q(x) for x in pt) for pt in config] == drawn
+
+    built = _system_matrix(sys, drawn, field)
+    want = built.entries.tolist()
+    for row, row_q in zip(_reference_matrix(sys, config, None), want):
+        unit = math.lcm(*(x.denominator for x in row))
+        assert unit % q
+        assert [int(x * unit) % q for x in row] == [unit * y % q for y in row_q]
+    assert built.rank() == sys.condition_count() == 54
+
+
 def test_h0_never_undershoots_the_virtual_bound():
     rng = np.random.default_rng(8)
     for _ in range(40):
@@ -310,7 +390,8 @@ def test_h0_never_undershoots_the_virtual_bound():
 def _reference_matrix(sys, pts, p):
     """Condition rows from the derivative formula on Python integers: for each
     point of multiplicity m >= 1 in order, and each derivative multi-index a
-    of order < m in graded-lex order, d^a x^e = prod_j falling(e_j, a_j) x_j^(e_j - a_j)."""
+    of order < m in graded-lex order, d^a x^e = prod_j falling(e_j, a_j) x_j^(e_j - a_j).
+    With p None the entries are not reduced (rational points give Fractions)."""
     n, d = sys.ambient_dim, sys.degree
     rows = []
     for pt, m in zip(pts, sys.mults):
@@ -322,7 +403,7 @@ def _reference_matrix(sys, pts, p):
                 v = 1
                 for x, ej, aj in zip(pt, e, a):
                     v *= math.perm(ej, aj) * x ** (ej - aj) if ej >= aj else 0
-                row.append(v % p)
+                row.append(v if p is None else v % p)
             rows.append(row)
     return rows
 
@@ -472,11 +553,15 @@ def test_degenerate_quadric_redraws_the_points(monkeypatch):
 
 
 def test_degenerate_quadric_raises_after_the_retry_budget(monkeypatch):
+    """The certificate's draw spends its own budget and certifies nothing;
+    the first trial then spends one more and raises."""
     calls = _flaky_quadric(monkeypatch, failures=10**6)
     cons = (None,) * 9 + (OnQuadric(through=tuple(range(9))),)
     with pytest.raises(DegenerateConfigurationError):
         effective_dim(FatPointSystem(3, 3, (1,) * 10), trials=2, seed=1, constraints=cons)
-    assert len(calls) == interp._DRAW_ATTEMPTS
+    assert len(calls) == 2 * interp._DRAW_ATTEMPTS
+    small = [max(map(max, pts)) < interp._CERT_PRIME for pts in calls]
+    assert small == [True] * interp._DRAW_ATTEMPTS + [False] * interp._DRAW_ATTEMPTS
 
 
 # quadric_through coefficients for nine points drawn from default_rng(2026),
