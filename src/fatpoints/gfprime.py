@@ -26,12 +26,15 @@ is never solved with and is not joined.  One kernel,
 parameterised by p, serves every prime: operands are split into 1, 2 or 3
 limbs of 21 bits, as few as keep the limb products exact in a float64
 GEMM, so the products go through BLAS.  The exact limb products of every
-k-chunk are summed in uint64 accumulators and reduced once (delayed
-reduction): by a float64 quotient estimate and a wrapping uint64
-correction, or by bit rotations when p = 2**61 - 1, since 2**61 == 1
-(mod p).  The pivot choice (leftmost column, first nonzero row) is that
-of classical elimination, so the pivot trace is the same at every prime
-size and the result is deterministic.
+k-chunk are summed in uint64 accumulators, formed into limb parts the
+same way for every prime and reduced once (delayed reduction): by a
+float64 quotient estimate and a wrapping uint64 correction, or by bit
+rotations when p = 2**61 - 1, since 2**61 == 1 (mod p).  That rotation is
+the only step special to one prime; the elementwise product mulmod_vec
+and everything else are the same for every p.  The pivot choice
+(leftmost column, first nonzero row) is that of classical elimination,
+so the pivot trace is the same at every prime size and the result is
+deterministic.
 """
 
 from __future__ import annotations
@@ -147,94 +150,50 @@ def _reduce(v: np.ndarray, vf: np.ndarray, p: int, tmp: np.ndarray | None = None
 # multiplying by 2**s is a rotation of the 61-bit window.
 
 _M61 = np.uint64(MERSENNE61)
-_L32 = np.uint64(0xFFFFFFFF)
 
 
-def _fold61(v: np.ndarray, tmp: np.ndarray) -> None:
-    """In place v = (v >> 61) + (v & p), which is == v (mod p); tmp is scratch."""
-    np.right_shift(v, np.uint64(61), out=tmp)
-    v &= _M61
-    v += tmp
+def _reduce_parts61(parts: list[np.ndarray], tmp: np.ndarray) -> np.ndarray:
+    """The sum of parts[s] * 2**(21 s) over the five limb parts P0..P4, each
+    below 2**61, mod 2**61 - 1, in the buffer of P0; the other parts are
+    destroyed and tmp is uint64 scratch.
 
-
-def _mulmod61(a, b) -> np.ndarray:
-    """Elementwise a*b mod 2**61 - 1 for reduced uint64 operands (broadcasting).
-
-    With 32-bit halves a = a1*2**32 + a0 and b = b1*2**32 + b0 (a1, b1 < 2**29),
-    a*b = a1*b1*2**64 + m*2**32 + a0*b0 with m = a1*b0 + a0*b1 < 2**62.  Mod p,
-    2**64 == 8 and m*2**32 == (m >> 29) + ((m mod 2**29) << 32), so
-    8*a1*b1 + (m >> 29) + ((m mod 2**29) << 32) + fold(a0*b0) < 2**63 and two
-    folds and a conditional subtraction finish the reduction.
+    As 2**63 == 4 (mod p) the sum is G0 + G1 * 2**21 + G2 * 2**42 with
+    G0 = P0 + 4 P3, G1 = P1 + 4 P4 and G2 = P2, and u * 2**s is the rotation
+    ((u << s) mod 2**61) + (u >> (61 - s)) for any uint64 u.  G0 < 2**63 +
+    2**61 and each rotation adds less than 2**61 + 2**42, so the total stays
+    below 2**64, one fold (v >> 61) + (v mod 2**61) leaves at most p + 7
+    and one conditional subtraction finishes.
     """
-    a0, a1 = a & _L32, a >> np.uint64(32)
-    b0, b1 = b & _L32, b >> np.uint64(32)
-    lo = a0 * b0
-    mid = a1 * b0
-    mid += a0 * b1
-    acc = a1 * b1
-    acc <<= np.uint64(3)
-    tmp = mid >> np.uint64(29)
-    acc += tmp
-    mid <<= np.uint64(32)
-    mid &= _M61
-    acc += mid
-    np.right_shift(lo, np.uint64(61), out=tmp)
-    lo &= _M61
-    acc += lo
-    acc += tmp
-    _fold61(acc, tmp)
-    return _condsub(acc, MERSENNE61)
-
-
-def _rotate_add(s: np.ndarray, u: np.ndarray, shift: int, tmp: np.ndarray) -> None:
-    """s += u * 2**shift (mod p) as a 61-bit rotation; u < 2**61 is destroyed."""
-    np.left_shift(u, np.uint64(shift), out=tmp)
-    tmp &= _M61
-    s += tmp
-    u >>= np.uint64(61 - shift)
-    s += u
-
-
-def _recombine61(acc: np.ndarray) -> np.ndarray:
-    """Reduce the six Karatsuba sums acc = (p00, p11, p22, q01, q02, q12) of a
-    tile to x @ y mod p.
-
-    The limb parts are P0 = p00, P1 = q01 - p00 - p11, P2 = q02 - p00 - p22 + p11,
-    P3 = q12 - p11 - p22 and P4 = p22, with x @ y = sum(P_s * 2**(21 s)).  As
-    2**63 == 4 (mod p) that is G0 + G1 * 2**21 + G2 * 2**42 with G0 = P0 + 4 P3,
-    G1 = P1 + 4 P4 and G2 = P2, each below 2**61 by the accumulator bound, so
-    two rotations, a fold and a conditional subtraction finish.  The uint64
-    differences wrap, but each true value is nonnegative.  acc is overwritten;
-    the result is returned in the buffer of p00.
-    """
-    p00, p11, p22, q01, q02, q12 = acc
-    acc[3:5] -= p00  # q01, q02
-    acc[3:6:2] -= p11  # q01, q12: P1 done
-    acc[4:6] -= p22  # q02, q12: P3 done
-    q02 += p11  # G2
-    acc[2::3] <<= np.uint64(2)  # 4 P4, 4 P3
-    p00 += q12  # G0
-    q01 += p22  # G1
-    _rotate_add(p00, q01, 21, p11)
-    _rotate_add(p00, q02, 42, p11)
-    _fold61(p00, p11)  # p00 < 2**63 before, <= p + 3 after
-    np.subtract(p00, _M61, out=p11)
-    np.minimum(p00, p11, out=p00)
-    return p00
+    g0, g1, g2, p3, p4 = parts
+    p3 <<= np.uint64(2)
+    g0 += p3
+    p4 <<= np.uint64(2)
+    g1 += p4
+    for g, shift in ((g1, 21), (g2, 42)):
+        np.left_shift(g, np.uint64(shift), out=tmp)
+        tmp &= _M61
+        g0 += tmp
+        g >>= np.uint64(61 - shift)
+        g0 += g
+    np.right_shift(g0, np.uint64(61), out=tmp)
+    g0 &= _M61
+    g0 += tmp
+    np.subtract(g0, _M61, out=tmp)
+    np.minimum(g0, tmp, out=g0)
+    return g0
 
 
 def mulmod_vec(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Elementwise a*b mod p for reduced uint64 arrays (broadcasting allowed).
 
-    Mod 2**61 - 1 this is _mulmod61.  Otherwise b is taken in 31-bit digits,
-    one below 2**31 and two above, by Horner's rule: each step reduces
-    T = r * 2**31 + a * digit (T = a * digit in the first), and T / p < 2**32.
-    Residues are below 2**62, so their int64 views convert to float64.
+    b is taken in 31-bit digits, one below 2**31 and two above, by Horner's
+    rule: each step reduces T = r * 2**31 + a * digit (T = a * digit in the
+    first), and T / p < 2**32.  Residues are below 2**62, so their int64
+    views convert to float64.  The one path serves every prime, 2**61 - 1
+    included.
     """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    if p == MERSENNE61:
-        return _mulmod61(a, b)
     ai = a.view(np.int64)
     if p < 1 << 31:
         return _reduce(a * b, np.multiply(ai, b.view(np.int64), dtype=np.float64), p)
@@ -332,12 +291,12 @@ class _Kernel:
         in the order of _pairs, then two scratch slots unless p = 2**61 - 1)
         of a tile to x @ y mod p, in a buffer of acc; acc[-1] is left spent.
 
+        The limb parts P_s are formed in place the same way for every prime.
         The uint64 differences wrap, but each true part is nonnegative and
-        below 2**61.
+        below 2**61.  They are then reduced by Horner's rule over 2**21, one
+        _reduce step each, or at p = 2**61 - 1 by _reduce_parts61, with the
+        spent diagonal product diag[1] as its scratch.
         """
-        if self.p == MERSENNE61:
-            return _recombine61(acc)
-        vf, tmp = acc[-2].view(np.float64), acc[-1]
         diag = acc[: self.limbs]
         parts = [diag[s // 2] if s % 2 == 0 else None for s in range(2 * self.limbs - 1)]
         for t, (i, j) in enumerate(self._pairs):
@@ -347,6 +306,9 @@ class _Kernel:
             if parts[i + j] is not None:
                 cross += parts[i + j]
             parts[i + j] = cross
+        if self.p == MERSENNE61:
+            return _reduce_parts61(parts, diag[1])
+        vf, tmp = acc[-2].view(np.float64), acc[-1]
         r = parts.pop()
         np.copyto(vf, r.view(np.int64), casting="unsafe")
         _reduce(r, vf, self.p, tmp)

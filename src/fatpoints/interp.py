@@ -24,14 +24,18 @@ been tried.
 
 A known floor on the generic h0 lowers the ceiling to monomials - floor.
 _peel passes one: when the residual after a fixed divisor has an exact h0
-(certified, or without conditions) and the fixed system has more
-monomials than conditions, so a nonzero fixed form exists at any points,
-multiplying by that form embeds the residual into the system, and the
-generic h0 of the system is at least the residual's.  The rank at q is
+and the fixed system has more monomials than conditions, so a nonzero
+fixed form exists at any points, multiplying by that form embeds the
+residual into the system, and the generic h0 of the system is at least
+the residual's.  The rank at q is
 then at most the rank over Q at the lifted points, at most the generic
 rank, at most monomials - floor; a rank at q that reaches it makes every
 step an equality.  So a special system whose excess comes from a fixed
-component is certified like a full-rank one.
+component is certified like a full-rank one.  The argument never uses q,
+so one rule says which h0 is exact: a rank at its ceiling
+min(conditions, monomials - floor), whether the certificate's, a trial's
+at the requested prime, or that of a system without conditions or with a
+multiplicity above the degree + 1.
 
 A point constrained to the quadric through nine earlier points is not a
 uniform integer draw: it is the second point where a random line through
@@ -394,12 +398,12 @@ def effective_dim(
     v = vdim(sys)
     expected = edim_expected(sys)
     analytic = any(m > d + 1 for m in sys.mults)
+    ceiling = min(conditions, monomials - floor)
     rank = trials_run = 0
     certified_by = None
     if analytic:
         rank = monomials  # a multiplicity above d+1 kills every form
     elif conditions:
-        ceiling = min(conditions, monomials - floor)
         seeds = np.random.SeedSequence(seed)
         # children one at a time: the same as spawn(trials), without
         # holding a child for every trial that an early stop skips
@@ -422,9 +426,9 @@ def effective_dim(
             rank = max(rank, _system_matrix(sys, pts, field).rank())
             trials_run += 1
     h0 = monomials - rank
-    if h0 < max(v + 1, 0, floor):
+    if rank > ceiling:
         raise VirtualBoundError(
-            f"rank {rank} exceeds the virtual bound for {sys}: h0={h0} < {max(v + 1, 0, floor)}"
+            f"rank {rank} exceeds the virtual bound for {sys}: h0={h0} < {monomials - ceiling}"
         )
     edim_actual = h0 - 1
     return RankReport(
@@ -535,14 +539,14 @@ def fixed_component_test(
     is onto and the fixed divisor splits off every member; a strictly
     larger h0 on the sys side refutes divisibility.
 
-    A side whose rank is certified (`RankReport.certified_by`) has its
-    exact generic h0, from points drawn mod the certifying prime, so only
-    an uncertified side is read at the shared draws; its h0 stays an
-    upper bound for the generic one.  When the residual's h0 is exact and
-    `fixed` has more monomials than conditions, _peel ranks sys with that
-    h0 as its floor; an h0 of sys equal to it is then a rank at the
-    lowered ceiling, which is exact, so True is a proof.  Otherwise an
-    answer can err only when an uncertified rank fell short, the
+    A side whose rank reaches its ceiling has its exact generic h0, at any
+    prime and from whichever draw reached it (see the module docstring),
+    so only a side short of its ceiling is read at the shared draws; its
+    h0 stays an upper bound for the generic one.  When the residual's h0
+    is exact and `fixed` has more monomials than conditions, _peel ranks
+    sys with that h0 as its floor; an h0 of sys equal to it is then a rank
+    at the lowered ceiling, which is exact, so True is a proof.  Otherwise
+    an answer can err only when a rank fell short of the generic one, the
     one-sided miss of any Monte Carlo rank.
     """
     if seed is None:
@@ -555,19 +559,22 @@ def _peel(sys: FatPointSystem, fixed: FatPointSystem, constraints=None, **mc):
     """The reports of `sys` and of its residual after `fixed`, in that order,
     ranked with the same `effective_dim` settings `mc` and constraints, so on
     identical point draws for a set seed, except on a side whose rank is
-    certified at _CERT_PRIME, whose h0 is then exact.  Equal h0 means
-    `fixed` divides every member of `sys` (see `fixed_component_test`).
+    certified at _CERT_PRIME.  Equal h0 means `fixed` divides every member
+    of `sys` (see `fixed_component_test`).
 
-    The residual is ranked first.  Its h0 is a floor for the generic h0 of
-    `sys` when it is exact (certified, or no conditions) and `fixed` is
-    nonempty by counting, with more monomials than conditions: a fixed
-    form times the residual embeds it into `sys` (the residual's
-    multiplicities are truncated at 0, which keeps that true).  `sys` is
+    The residual is ranked first.  Its h0 is exact when its rank reaches
+    its ceiling min(conditions, monomials - floor), at any prime: that one
+    test covers a certified rank, a trial's rank at the requested prime, a
+    residual without conditions and an analytic one.  An exact h0 is a
+    floor for the generic h0 of `sys` when `fixed` is nonempty by
+    counting, with more monomials than conditions: a fixed form times the
+    residual embeds it into `sys` (the residual's multiplicities are
+    truncated at 0, which keeps that true).  `sys` is
     then ranked with that floor, so a rank at its lowered ceiling is
     certified and h0(sys) == h0(residual) is a proof that `fixed` splits
     off."""
     rest = effective_dim(residual(sys, fixed), constraints=constraints, **mc)
-    exact = rest.certified_by is not None or not rest.conditions
+    exact = rest.rank == min(rest.conditions, rest.monomials - rest.floor)
     nonempty = fixed.monomial_count() > fixed.condition_count()
     full = effective_dim(
         sys, constraints=constraints, floor=rest.h0 if exact and nonempty else 0, **mc

@@ -110,14 +110,16 @@ def run_counterexample(cfg: RunConfig) -> CounterexampleReport:
     what entitles the fixed-component comparisons to subtract h0 values
     obtained from different matrices.  Every one of the nine ranks is
     certified by one rank at interp._CERT_PRIME, so every h0 is exact and
-    the proof rests on no Monte Carlo bound.  In check 3 the residual
-    L3(7,5,3^8) is certified with h0 5, which makes 5 a floor for the
-    special L3(9,6,4^8) (the quadric has more monomials than its nine
-    conditions); its rank 215 = 220 - 5 is then certified too, and equal
-    h0 proves the quadric fixed (see `interp._peel`).  The contact-point
-    peels of checks 4 and 5 are full rank on draws constrained to the
-    quadric, which are certified like free ones.  Each distinct system is
-    ranked once, and later checks reuse its report.
+    the proof rests on no Monte Carlo bound; at a prime not above
+    _CERT_PRIME, a trial's rank that reaches its ceiling is just as exact.
+    In check 3 the residual L3(7,5,3^8) reaches its ceiling with h0 5,
+    which makes 5 a floor for the special L3(9,6,4^8) (the quadric has
+    more monomials than its nine conditions); its rank 215 = 220 - 5 is
+    then exact too, and equal h0 proves the quadric fixed (see
+    `interp._peel`).  The contact-point peels of checks 4 and 5 are full
+    rank on draws constrained to the quadric, which are certified like
+    free ones.  Each distinct system is ranked once, and later checks
+    reuse its report.
     """
     seed = cfg.seed if cfg.seed is not None else secrets.randbits(64)
     cfg = replace(cfg, seed=seed)

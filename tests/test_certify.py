@@ -161,6 +161,13 @@ def test_every_rank_of_the_counterexample_is_certified(seed, monkeypatch):
     assert [r.floor for r in reports if not r.special] == [0] * 8
 
 
+def _floor_free(mp) -> None:
+    """Rank the system side of every peel with floor 0, through the name
+    _peel looks up: the reference of a run that takes no floor."""
+    inner = interp.effective_dim
+    mp.setattr(interp, "effective_dim", lambda sys, *, floor=0, **kw: inner(sys, **kw))
+
+
 # (system, fixed, constraints, divides, floor): the check-3 peel, two more
 # splittings certified through their floor (a double quadric, a double
 # conic), a floor that does not bind, residuals of h0 0, a fixed system empty
@@ -186,13 +193,14 @@ FIELDS = ("rank", "h0", "edim_actual", "special")
 @pytest.mark.parametrize("case", list(PEELS))
 def test_floors_and_contact_points_change_no_verdict(case, seed, monkeypatch):
     """The peel's reports and fixed_component_test's answer are those of the
-    trials at the default prime alone (the reference, with _CERT_PRIME
-    moved above it); a side is certified exactly when its rank reaches the
-    ceiling, lowered by the floor on the system side."""
+    trials at the default prime alone, without a floor (the reference, with
+    _CERT_PRIME moved above it); a side is certified exactly when its rank
+    reaches the ceiling, lowered by the floor on the system side."""
     lit, fixed_lit, cons, divides, floor = PEELS[case]
     sys, fixed = parse_system(lit), parse_system(fixed_lit)
     with monkeypatch.context() as mp:
         mp.setattr(interp, "_CERT_PRIME", 1 << 62)
+        _floor_free(mp)
         want = _peel(sys, fixed, cons, seed=seed)
         want_divides = fixed_component_test(sys, fixed, seed=seed, constraints=cons)
     got = _peel(sys, fixed, cons, seed=seed)
@@ -214,6 +222,28 @@ def test_counterexample_bytes_do_not_depend_on_the_certificate(seed, monkeypatch
         mp.setattr(interp, "_CERT_PRIME", 1 << 62)
         want = pipeline.report_to_json(pipeline.run_counterexample(cfg))
     assert pipeline.report_to_json(pipeline.run_counterexample(cfg)) == want
+
+
+@pytest.mark.parametrize("prime", [1048573, Q])
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_a_rank_at_its_ceiling_is_exact_at_any_prime(seed, prime, monkeypatch):
+    """At a prime not above _CERT_PRIME nothing is certified, but check 3's
+    residual reaches its ceiling in its first trial, which is exact all the
+    same: the special L3(9,6,4^8) gets floor 5 and one trial, nine ranks
+    decide the run, and the report bytes are those of a run without floors."""
+    cfg = pipeline.RunConfig(seed=seed, prime=prime, output="json")
+    with monkeypatch.context() as mp:
+        _floor_free(mp)
+        want = pipeline.report_to_json(pipeline.run_counterexample(cfg))
+    primes = _ranked_primes(monkeypatch)
+    reports = _recorded_reports(monkeypatch)
+    got = pipeline.run_counterexample(cfg)
+    assert pipeline.report_to_json(got) == want
+    assert primes == [prime] * 9
+    special = [r for r in reports if r.special]
+    assert [(str(r.system), r.floor, r.trials_run, r.certified_by) for r in special] == [
+        ("L3(9,6,4^8)", 5, 1, None)
+    ]
 
 
 def _fail_at_q(monkeypatch, name, error):

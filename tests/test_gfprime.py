@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -311,16 +312,34 @@ def test_m61_kernel_bounds_raise():
         kern.matmul_mod(np.zeros((1, k), dtype=np.uint64), np.zeros((k, 1), dtype=np.uint64))
 
 
-def test_m61_recombination_reduces_extreme_parts():
-    """G0 + G1*2**21 + G2*2**42 mod p for every combination of extreme parts
-    below 2**61, fed in as the six Karatsuba sums with P3 = P4 = 0."""
+@pytest.mark.parametrize("p", [P61, P62], ids=["rotations", "horner"])
+def test_recombination_reduces_extreme_parts(p):
+    """sum(P_s * 2**(21 s)) mod p for every combination of extreme limb parts
+    P0..P4 below 2**61, fed to _Kernel(p)._recombine as the Karatsuba sums
+    of three limbs, with a middle diagonal product that every cross sum
+    must cancel.  Both three-limb reductions: rotations mod 2**61 - 1 and
+    Horner's rule over 2**21 below 2**62."""
+    kern = _Kernel(p)
+    assert kern.limbs == 3
     extremes = [0, 1, 2**21, 2**40, 2**60, P61 - 1, P61]
-    combos = [(g0, g1, g2) for g0 in extremes for g1 in extremes for g2 in extremes]
-    g0, g1, g2 = (np.array(c, dtype=np.uint64) for c in zip(*combos))
-    zero = np.zeros_like(g0)
-    acc = np.stack([g0, zero, zero, g1 + g0, g2 + g0, zero])[:, None, :]
-    got = gfprime._recombine61(acc)[0]
-    want = [(a + b * 2**21 + c * 2**42) % P61 for a, b, c in combos]
+    combos = list(itertools.product(extremes, repeat=5))
+    p0, p1, p2, p3, p4 = zip(*combos)
+    mid = [2**60 + 2**21 * k for k in range(len(combos))]
+
+    def sums(*terms):  # the Karatsuba sum, as its uint64 accumulator holds it
+        return np.array([sum(t) % 2**64 for t in zip(*terms)], dtype=np.uint64)
+
+    acc = np.empty((kern._nacc, 1, len(combos)), dtype=np.uint64)
+    acc[:6, 0] = [
+        sums(p0),
+        sums(mid),
+        sums(p4),
+        sums(p1, p0, mid),  # x0 y1 + x1 y0 + x0 y0 + x1 y1
+        sums(p2, p0, p4, [-v for v in mid]),
+        sums(p3, mid, p4),
+    ]
+    got = kern._recombine(acc)[0]
+    want = [sum(v << (21 * s) for s, v in enumerate(c)) % p for c in combos]
     assert [int(v) for v in got] == want
 
 
