@@ -7,15 +7,16 @@ witnesses the generic rank of an interpolation matrix with failure
 probability on the order of (degree)/p per trial.
 
 The rank engine is a recursive block elimination (PLE decomposition).
-Column panels are split in half down to a small leaf width (a panel wider
-than the rows left is cut no further left than where it could give every
-row a pivot), and the elimination stops once every row has a pivot.
+Column panels are split at their middle rounded up to a multiple of the
+leaf width, so every leaf but a panel's last is full (a panel wider than
+the rows left is cut no further left than where it could give every row a
+pivot), and the elimination stops once every row has a pivot.
 A leaf first factors its top square block without pivoting; when no
 pivot of it is zero, the leaf needs no row swap, and the rows below get
 their multipliers from one product.  Otherwise it falls back to
 classical row elimination.  The condition matrices of interp come with
-their rows derivative-major, which rarely gives a zero pivot there: 616 of
-616 leaves of the criterion-8 rank take the product.  Cross-panel updates
+their rows derivative-major, which rarely gives a zero pivot there: 525 of
+525 leaves of the criterion-8 rank take the product.  Cross-panel updates
 are delayed and applied as matrix products.  Before its rows update the
 rest, a block of pivot rows is brought up to date by a triangular solve
 with its unit-lower multipliers.  Each recursion node returns its pivot
@@ -299,6 +300,10 @@ class _Kernel:
         _reduce step each, or at p = 2**61 - 1 by _reduce_parts61, with the
         spent diagonal product diag[1] as its scratch.
         """
+        if self.limbs == 1:  # Horner's rule below, with no parts left
+            vf = acc[1].view(np.float64)
+            np.copyto(vf, acc[0].view(np.int64), casting="unsafe")
+            return _reduce(acc[0], vf, self.p, acc[2])
         diag = acc[: self.limbs]
         parts = [diag[s // 2] if s % 2 == 0 else None for s in range(2 * self.limbs - 1)]
         for t, (i, j) in enumerate(self._pairs):
@@ -392,19 +397,18 @@ class _Kernel:
         place; others are gathered into a work buffer.  The pivot columns
         lie outside [clo, chi), so the read never overlaps the update.
         """
-        cols = np.asarray(pivcols, dtype=np.intp)
-        k = cols.size
-        run = bool((np.diff(cols) == 1).all())  # the ends alone would pass a shuffled run
+        k, c = len(pivcols), pivcols[0]
+        run = list(pivcols) == list(range(c, c + k))  # the ends alone would pass a shuffled run
         y = a[pr0 : pr0 + k, clo:chi]
         step = max(1, _ACC_MAX // (self._nacc * min(chi - clo, _STRIPE)))
         p = np.uint64(self.p)
         for b0 in range(rlo, rhi, step):
             b1 = min(b0 + step, rhi)
             if run:
-                x = a[b0:b1, cols[0] : cols[0] + k]
+                x = a[b0:b1, c : c + k]
             else:
                 x = self._buf("panel", (b1 - b0, k), np.uint64)
-                np.take(a[b0:b1], cols, axis=1, out=x)
+                np.take(a[b0:b1], pivcols, axis=1, out=x)
             block = a[b0:b1, clo:chi]
             for r0, r1, w0, w1, s, tmp in self._tiles(x, y):
                 np.subtract(p, s, out=s)
@@ -448,13 +452,18 @@ def _lu_no_pivot(b, p):
             if f:
                 for k in range(j + 1, w):
                     row[k] = (row[k] - f * pivot_row[k]) % p
-    uinv = [[0] * w for _ in range(w)]
-    for i in reversed(range(w)):  # back substitution, one row of U^-1 at a time
+    uinv: list = [None] * w
+    for i in reversed(range(w)):  # row i of U^-1: (e_i - sum of U[i, k] * row k) / U[i, i]
+        row = [0] * w
+        row[i] = 1
+        for k in range(i + 1, w):
+            f = b[i][k]
+            if f:
+                later = uinv[k]
+                for j in range(k, w):
+                    row[j] -= f * later[j]
         d = pow(b[i][i], -1, p)
-        uinv[i][i] = d
-        for j in range(i + 1, w):
-            s = sum(b[i][k] * uinv[k][j] for k in range(i + 1, j + 1))
-            uinv[i][j] = -s * d % p
+        uinv[i] = [v * d % p for v in row]
     return uinv
 
 
@@ -578,21 +587,26 @@ def _ple(a, kern, r0, c0, c1, pivs):
     otherwise the triple (h, left block, right block) of its two children,
     h pivots on the left.
 
-    A panel is split at its middle, or, when it is wider than the m - r0
-    rows left, at max(middle, c0 + (m - r0)): the left part is then wide
-    enough to give every row a pivot.  Keeping at least the middle halves
-    the width at every level, so the recursion stays about log2(width)
-    deep even when a wide matrix falls short of full row rank at every
-    level; splitting at c0 + (m - r0) alone would peel off only m - r0
-    columns per level.  Once the left part has a pivot for every row
-    (r0 + k >= m), the elimination stops without updating the right part.
+    A panel is split at its middle rounded up to a multiple of _LEAF_W
+    columns from c0, or, when it is wider than the m - r0 rows left, at
+    max(that point, c0 + (m - r0)): the left part is then wide enough to
+    give every row a pivot.  A full-rank panel of n columns thus makes
+    ceil(n / _LEAF_W) leaves, all _LEAF_W wide but the last, where the
+    exact middle makes narrow leaves, each with its own product, join and
+    update.  Keeping at least the middle halves the width at every level,
+    so the recursion stays about log2(width) deep even when a wide matrix
+    falls short of full row rank at every level; splitting at
+    c0 + (m - r0) alone would peel off only m - r0 columns per level.
+    Once the left part has a pivot for every row (r0 + k >= m), the
+    elimination stops without updating the right part.
 
-    Both shortcuts are exact.  The leftmost-first pivots (the column rank
-    profile) do not depend on the split points, the rank is at most the
-    number of rows, and a column to the right of the last row's pivot
-    cannot change the leftmost-first choice of the pivots before it.  The
-    matrix is left partly updated when the elimination stops; only the
-    pivot trace is the result.
+    The split rule and both shortcuts are exact.  The leftmost-first
+    pivots (the column rank profile) do not depend on the split points
+    (Dumas, Pernet and Sultan, ISSAC 2013), so moving them changes no
+    pivot; the rank is at most the number of rows, and a column to the
+    right of the last row's pivot cannot change the leftmost-first choice
+    of the pivots before it.  The matrix is left partly updated when the
+    elimination stops; only the pivot trace is the result.
 
     A block stays valid up the recursion: its multipliers, in its pivot
     rows and columns, are final once written.  Later updates write only
@@ -603,7 +617,7 @@ def _ple(a, kern, r0, c0, c1, pivs):
         return None
     if c1 - c0 <= _LEAF_W:
         return _ple_leaf(a, kern, r0, c0, c1, pivs)
-    mid = (c0 + c1) // 2
+    mid = c0 + -(-((c1 - c0 + 1) // 2) // _LEAF_W) * _LEAF_W
     if c1 - c0 > m - r0:
         mid = max(mid, c0 + (m - r0))
     base = len(pivs)

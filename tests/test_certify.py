@@ -161,6 +161,37 @@ def test_every_rank_of_the_counterexample_is_certified(seed, monkeypatch):
     assert [r.floor for r in reports if not r.special] == [0] * 8
 
 
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+def test_the_counterexample_proof_replays_against_the_oracle(seed, monkeypatch):
+    """Each of the nine ranks of the proof, ranked again by _gauss_jordan
+    over Python integers, which shares no code with the blocked engine:
+    every condition matrix is copied as interp._system_matrix builds it,
+    before its rank eliminates it in place, and the oracle gives the rank
+    and the pivot columns that the blocked engine gave and that each
+    certified report holds."""
+    built, ranked = [], []
+    build, rank = interp._system_matrix, gfprime._rank_with_pivots
+
+    def building(sys, pts, field):
+        mat = build(sys, pts, field)
+        built.append((field.p, mat.entries))
+        return mat
+
+    def ranking(a, p):
+        ranked.append(rank(a, p))
+        return ranked[-1]
+
+    monkeypatch.setattr(interp, "_system_matrix", building)
+    monkeypatch.setattr(gfprime, "_rank_with_pivots", ranking)
+    reports = _recorded_reports(monkeypatch)
+    assert pipeline.run_counterexample(pipeline.RunConfig(seed=seed)).verdict
+    assert [p for p, _ in built] == [Q] * 9 and len(ranked) == 9
+    oracle = [gfprime._gauss_jordan(a.astype(object), p) for p, a in built]
+    assert [(len(pivs), pivs) for pivs in oracle] == ranked
+    assert [r.rank for r in reports] == [len(pivs) for pivs in oracle]
+    assert [r.certified_by for r in reports] == [Q] * 9
+
+
 def _floor_free(mp) -> None:
     """Rank the system side of every peel with floor 0, through the name
     _peel looks up: the reference of a run that takes no floor."""

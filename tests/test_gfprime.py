@@ -864,6 +864,77 @@ def test_pivot_trace_of_planted_profiles_matches_the_oracle(case):
 
 
 # ---------------------------------------------------------------------------
+# Leaf shapes: panels split at multiples of the leaf width, counted from the
+# panel's first column, so a full-rank panel's leaves are all full but the
+# last.  Real leaf width and cap, no shrinking.
+
+LEAF_PRIMES = [5, 101, 4194301, 2**31 - 1, MERSENNE61]
+
+
+@st.composite
+def leaf_shape_cases(draw):
+    """(p, matrix): planted rank profiles, 1-80 rows and 1-120 columns."""
+    p = draw(st.sampled_from(LEAF_PRIMES))
+    m = draw(st.integers(1, 80))
+    n = draw(st.integers(1, 120))
+    profile = draw(st.lists(st.integers(0, n - 1), max_size=min(m, n), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return p, _planted(rng, p, m, n, sorted(profile))
+
+
+@given(case=leaf_shape_cases())
+@settings(max_examples=40, deadline=None)
+@example(case=(5, np.ones((80, 120), dtype=np.uint64)))
+@example(case=(MERSENNE61, np.eye(80, 120, dtype=np.uint64)))
+def test_panels_split_at_multiples_of_the_leaf_width(case):
+    """The pivot trace is the oracle's, and every split point mid of a panel
+    [c0, c1) from row r0 has mid - c0 a multiple of _LEAF_W, or equal to
+    the m - r0 rows left when the panel is wider than that; it is at least
+    the middle and leaves the right part nonempty."""
+    p, a = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _ple_calls(mp)
+        _assert_oracle_trace(a, p)
+    w = gfprime._LEAF_W
+    nodes = [i for i, (m, r0, c0, c1) in enumerate(calls) if r0 < m and c1 - c0 > w]
+    for i in nodes:
+        m, r0, c0, c1 = calls[i]
+        assert calls[i + 1][:3] == (m, r0, c0)  # the left child
+        mid = calls[i + 1][3]
+        assert (mid - c0) % w == 0 or (c1 - c0 > m - r0 and mid - c0 == m - r0)
+        assert c1 - c0 <= 2 * (mid - c0) and mid < c1
+
+
+@given(
+    p=st.sampled_from(LEAF_PRIMES),
+    n=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+@example(p=101, n=gfprime._LEAF_W + 1, seed=0)
+def test_a_full_rank_square_panel_makes_full_leaves(p, n, seed):
+    """A nonsingular n x n matrix, a unit upper triangular one with its rows
+    shuffled, has pivots in every column and makes ceil(n / _LEAF_W)
+    leaves, each _LEAF_W columns wide but the last."""
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.integers(0, p, size=(n, n), dtype=np.uint64), 1)
+    a[np.arange(n), np.arange(n)] = 1
+    a = a[rng.permutation(n)]
+    widths, leaf = [], gfprime._ple_leaf
+
+    def recorded(a, kern, r0, c0, c1, pivs):
+        widths.append(c1 - c0)
+        return leaf(a, kern, r0, c0, c1, pivs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gfprime, "_ple_leaf", recorded)
+        assert _rank_with_pivots(a, p) == (n, list(range(n)))
+    w = gfprime._LEAF_W
+    assert len(widths) == -(-n // w)
+    assert widths == [w] * (len(widths) - 1) + [n - w * (len(widths) - 1)]
+
+
+# ---------------------------------------------------------------------------
 # Carried inverses: every pivot block _ple returns, against the unit-lower
 # multipliers it stands for, on Python integers.
 
@@ -935,8 +1006,10 @@ def test_carried_inverses_invert_their_multipliers(p, monkeypatch):
 
 
 def _empty_child(rng, p):
-    """Columns 8-15 hold no pivot, so joins meet a child without pivots."""
-    return _planted(rng, p, 30, 48, list(range(8)) + list(range(16, 30)))
+    """Columns 8-11 hold no pivot, so the panel [8, 16) joins a left half
+    without pivots to a right half with some; the 26 pivots leave columns
+    [30, 48), right of the root's split, without pivots."""
+    return _planted(rng, p, 30, 48, list(range(8)) + list(range(12, 30)))
 
 
 def _early_stop(rng, p):
@@ -1058,6 +1131,26 @@ def test_kernel_gemm_sub_reads_a_run_of_pivot_columns_in_place(p, acc_max, pivco
     in_place = pivcols == list(range(pivcols[0], pivcols[0] + k))
     assert calls == [[in_place] * len(calls[0])]
     assert len(calls[0]) > 1  # 37 rows exceed a row block at either bound
+
+
+@pytest.mark.parametrize("p", PANEL_PRIMES)
+@pytest.mark.parametrize(
+    "pivcols, in_place",
+    [(np.arange(3, 23), True), (np.array([3, 5, 4] + list(range(6, 23)), dtype=np.uint64), False)],
+    ids=["run", "ends-of-a-run-out-of-order"],
+)
+def test_kernel_gemm_sub_takes_pivot_columns_as_an_array(p, pivcols, in_place, monkeypatch):
+    """The pivot columns as an integer array, not a list: the run is read
+    in place, the shuffled run is gathered, and the update matches
+    integers."""
+    rng = np.random.default_rng(len(pivcols))
+    k, m, n = len(pivcols), 37, 30
+    a = _residues_mod(p, rng, (k + m, 23 + n), "random")
+    want = (a[k:, 23:].astype(object) - _int_matmul_mod(a[k:, pivcols], a[:k, 23:], p)) % p
+    calls = _panels(monkeypatch)
+    _Kernel(p).gemm_sub(a, k, k + m, 0, pivcols, 23, 23 + n)
+    assert (a[k:, 23:].astype(object) == want).all()
+    assert calls == [[in_place]]
 
 
 @pytest.mark.parametrize("p", PANEL_PRIMES)

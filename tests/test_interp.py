@@ -712,23 +712,25 @@ def test_criterion_8_matrix_pivots_are_its_first_4200_columns(criterion_8_run):
 
 
 def test_criterion_8_leaves_all_take_the_product_path(criterion_8_run):
-    """All 616 leaves of the criterion-8 elimination factor their top block
+    """All 525 leaves of the criterion-8 elimination factor their top block
     with no zero pivot and give the rows below their multipliers in one
     product.  The derivative-major rows put the value rows of all 120
     points first, then the first derivatives of all of them, and so on, so
     a leaf's top block holds rows of one or two derivatives at different
     points, and every leading minor it meets is nonzero.  With each
-    point's rows stacked together, 23 leaves met a zero pivot and fell
-    back to row swaps."""
-    assert len(criterion_8_run.probes) == 616
-    assert sum(criterion_8_run.probes) == 616
+    point's rows stacked together, 23 of 616 leaves met a zero pivot and
+    fell back to row swaps.  Panels split at multiples of the leaf width,
+    so the 4200 pivot columns make 4200 / 8 = 525 full leaves."""
+    assert len(criterion_8_run.probes) == 525
+    assert sum(criterion_8_run.probes) == 525
 
 
 @pytest.mark.parametrize("p", [1048573, 4194301])
 def test_prime_regimes_leaves_all_take_the_product_path(p, monkeypatch):
     """L3(10,5^8), the 280 x 286 system of the prime-regimes workload,
     ranked in one trial at the primes its ranks run at (4194301 certifies
-    the larger ones): every leaf probe finds no zero pivot."""
+    the larger ones): every leaf probe finds no zero pivot.  The 280 pivot
+    columns make 280 / 8 = 35 full leaves."""
     probes, lu = [], gfprime._lu_no_pivot
 
     def probed(b, q):
@@ -739,7 +741,7 @@ def test_prime_regimes_leaves_all_take_the_product_path(p, monkeypatch):
     monkeypatch.setattr(gfprime, "_lu_no_pivot", probed)
     rep = effective_dim(parse_system("L3(10,5^8)"), trials=1, seed=301, prime=p)
     assert rep.rank == 280 and rep.certified_by is None
-    assert len(probes) == 56 and all(probes)
+    assert len(probes) == 35 and all(probes)
 
 
 def test_trials_and_prime_are_integers_not_truncated():
