@@ -11,15 +11,15 @@ Column panels are split at their middle rounded up to a multiple of the
 leaf width, so every leaf but a panel's last is full (a panel wider than
 the rows left is cut no further left than where it could give every row a
 pivot), and the elimination stops once every row has a pivot.
-A leaf first factors its top square block without pivoting; when no
-pivot of it is zero, the leaf needs no row swap, and the rows below get
-their multipliers from one product.  Otherwise it falls back to
-classical row elimination.  The condition matrices of interp come with
-their rows derivative-major, which rarely gives a zero pivot there: 525 of
-525 leaves of the criterion-8 rank take the product.  Cross-panel updates
-are delayed and applied as matrix products.  Before its rows update the
-rest, a block of pivot rows is brought up to date by a triangular solve
-with its unit-lower multipliers.  Each recursion node returns its pivot
+A leaf eliminates in sweeps: each runs the classical rule over Python
+integers on the leaf's top rows until a column has no nonzero left among
+them; one product then gives the rows below their multipliers and
+updates the leaf's remaining columns.  The condition matrices of interp
+come with their rows derivative-major, which rarely leaves a top row
+without its pivot: each of the 525 leaves of the criterion-8 rank makes
+one sweep.  Cross-panel updates are delayed and applied as matrix
+products.  Before its rows update the rest, a block of pivot rows is
+brought up to date by a triangular solve with its unit-lower multipliers.  Each recursion node returns its pivot
 block with the inverse of those multipliers: a leaf builds it by forward
 substitution, and a node joins its children's inverses with two products
 while the block holds at most _TRSM_LEAF pivots, so the solve applies it in
@@ -33,8 +33,7 @@ k-chunk are summed in uint64 accumulators, formed into limb parts the
 same way for every prime and reduced once (delayed reduction): by a
 float64 quotient estimate and a wrapping uint64 correction, or by bit
 rotations when p = 2**61 - 1, since 2**61 == 1 (mod p).  That rotation is
-the only step special to one prime; the elementwise product mulmod_vec
-and everything else are the same for every p.  The pivot choice
+the only step special to one prime.  The pivot choice
 (leftmost column, first nonzero row) is that of classical elimination,
 so the pivot trace is the same at every prime size and the result is
 deterministic.
@@ -224,12 +223,6 @@ _TILE = 1 << 19  # elements per row tile of a product stripe
 # blocks: the accumulators of a 4200-row elimination's tallest update
 # would otherwise take 155 MB.
 _ACC_MAX = 1 << 23
-
-
-def _condsub(v: np.ndarray, p: int) -> np.ndarray:
-    """In-place v mod p for v < 2p, branchless: v - p wraps below p."""
-    np.minimum(v, v - np.uint64(p), out=v)
-    return v
 
 
 # Dot products on 21-bit limbs.  A residue is split into as few limbs as
@@ -436,102 +429,97 @@ def _unit_lower_inverse(low, p):
     return np.array(inv, dtype=np.uint64)
 
 
-def _lu_no_pivot(b, p):
-    """Factor the w x w list b in place into its packed LU, U's diagonal
-    included, without pivoting, over Python integers; returns U^-1 as a
-    list of rows, or None at the first zero pivot."""
-    w = len(b)
+def _lu_top(b, p):
+    """Classical elimination (leftmost column, first nonzero row) in place
+    on the t x n list b, t <= n, over Python integers, up to the first
+    column with no nonzero left at or below its pivot row.
+
+    Returns the pivot count w, the row swaps it made as (row, row) pairs in
+    order, and T^-1 as a list of rows, for the n x n upper-triangular
+    T = [[U, V], [0, I]]: the pivots are columns 0 .. w - 1 in rows 0 ..
+    w - 1, which hold their packed LU, U's diagonal included, and V is
+    their entries right of U.  A row x below them, eliminated by these
+    pivots, holds its multipliers x[:w] U^-1 and then x[w:] - x[:w] U^-1 V,
+    which is x T^-1.
+    """
+    n = len(b[0])
+    w, swaps = len(b), []
     for j in range(w):
-        d = b[j][j]
-        if not d:
-            return None
-        d = pow(d, -1, p)
+        if not b[j][j]:
+            i = next((i for i in range(j + 1, len(b)) if b[i][j]), None)
+            if i is None:
+                w = j
+                break
+            b[j], b[i] = b[i], b[j]
+            swaps.append((j, i))
+        d = pow(b[j][j], -1, p)
         pivot_row = b[j]
         for row in b[j + 1 :]:
             f = row[j] = row[j] * d % p
             if f:
-                for k in range(j + 1, w):
+                for k in range(j + 1, n):
                     row[k] = (row[k] - f * pivot_row[k]) % p
-    uinv: list = [None] * w
-    for i in reversed(range(w)):  # row i of U^-1: (e_i - sum of U[i, k] * row k) / U[i, i]
-        row = [0] * w
+    tinv: list = [None] * w + [[int(j == k) for j in range(n)] for k in range(w, n)]
+    for i in reversed(range(w)):  # row i of T^-1: (e_i - sum of T[i, k] * row k) / T[i, i]
+        row = [0] * n
         row[i] = 1
-        for k in range(i + 1, w):
+        for k in range(i + 1, n):
             f = b[i][k]
             if f:
-                later = uinv[k]
-                for j in range(k, w):
+                later = tinv[k]
+                for j in range(k, n):
                     row[j] -= f * later[j]
         d = pow(b[i][i], -1, p)
-        uinv[i] = [v * d % p for v in row]
-    return uinv
+        tinv[i] = [v * d % p for v in row]
+    return w, swaps, tinv
 
 
 def _ple_leaf(a, kern, r0, c0, c1, pivs):
     """Elimination of columns [c0, c1) from row r0 down by the classical
-    rule (leftmost column, first nonzero row); returns the leaf's pivot
-    block (see _ple).
+    rule (leftmost column, first nonzero row), row swaps going to the full
+    rows of a; returns the leaf's pivot block (see _ple).
 
-    When the panel has at least w = c1 - c0 rows, its top w x w block B is
-    first factored without pivoting over Python integers.  If every pivot
-    of that LU is nonzero, the classical rule takes exactly these pivots:
-    at column j the first candidate is row j, whose updated entry is the
-    ratio of B's leading minors D_{j+1} / D_j != 0.  So no row is swapped,
-    the pivots are columns c0 .. c1 - 1 in rows r0 .. r0 + w - 1, the top
-    rows get B's packed LU, and the rows below, A_below = L_below U, get
-    their multipliers A_below U^-1 in one product.  The no-pivot LU and the
-    multipliers below are unique, so the eliminated entries and the pivot
-    block are those of the classical loop.  At a zero pivot nothing has
-    been written to a, and the classical loop runs from the start.
+    The leaf runs in sweeps from (r, c) = (r0, c0).  A sweep first brings
+    the first nonzero entry of column c at or below row r into row r (or
+    skips the column when it has none), then runs the classical rule over
+    Python integers on the top t = min(c1 - c, m - r) rows (_lu_top) until
+    a column has no nonzero left among them.  If any top row has a nonzero
+    in a column, the first such row is that column's classical pivot row,
+    so the sweep's j pivots, in columns c .. c + j - 1 and rows r ..
+    r + j - 1, and their packed LU are classical elimination's.  The rows
+    below get their multipliers and the update of the leaf's columns right
+    of the sweep from one product with T^-1 (see _lu_top), and the next
+    sweep starts at (r + j, c + j), searching the updated column below.
+    The multipliers are unique, so the eliminated entries are those of
+    classical elimination.  A leaf whose top rows give every column a
+    pivot makes one sweep, and its product is A_below U^-1.
 
-    The classical loop works on the columns in a contiguous copy, so the
-    per-pivot column updates stay in cache; row swaps also go to the full
-    rows of a.  Either way the pivot block is the inverse of the
-    unit-lower multipliers of the r <= w pivot rows (_unit_lower_inverse).
+    The pivot block is the inverse of the unit-lower multipliers of the
+    leaf's pivot rows (_unit_lower_inverse).
     """
-    p = kern.p
-    w = c1 - c0
-    if a.shape[0] - r0 >= w:
-        top = a[r0 : r0 + w, c0:c1]
+    p, m = kern.p, a.shape[0]
+    r, c, base = r0, c0, len(pivs)
+    while c < c1 and r < m:
+        if not a[r, c]:
+            nz = np.flatnonzero(a[r:, c])
+            if not nz.size:
+                c += 1
+                continue
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        top = a[r : r + min(c1 - c, m - r), c:c1]
         lu = top.tolist()
-        uinv = _lu_no_pivot(lu, p)
-        if uinv is not None:
-            top[...] = lu
-            below = a[r0 + w :, c0:c1]
-            if len(below):
-                below[...] = kern.matmul_mod(below, np.array(uinv, dtype=np.uint64))
-            pivs.extend(range(c0, c1))
-            return _unit_lower_inverse(lu, p)
-    panel = a[r0:, c0:c1].copy()
-    m, w = panel.shape
-    r = 0
-    cols = []
-    for j in range(w):
-        if r == m:
-            break
-        nz = np.nonzero(panel[r:, j])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r0 + r, r0 + pr]] = a[[r0 + pr, r0 + r]]
-            panel[[r, pr]] = panel[[pr, r]]
-        if r + 1 < m:
-            col = panel[r + 1 :, j]
-            col[...] = mulmod_vec(col, np.uint64(pow(int(panel[r, j]), -1, p)), p)
-            if j + 1 < w:
-                prod = mulmod_vec(col[:, None], panel[r, j + 1 :], p)
-                np.subtract(np.uint64(p), prod, out=prod)
-                v = panel[r + 1 :, j + 1 :]
-                v += prod
-                _condsub(v, p)
-        pivs.append(c0 + j)
-        cols.append(j)
-        r += 1
-    a[r0:, c0:c1] = panel
-    if not r:
+        j, swaps, tinv = _lu_top(lu, p)
+        for s, i in swaps:
+            a[[r + s, r + i]] = a[[r + i, r + s]]
+        top[:j] = lu[:j]
+        below = a[r + j :, c:c1]
+        if len(below):
+            below[...] = kern.matmul_mod(below, np.array(tinv, dtype=np.uint64))
+        pivs.extend(range(c, c + j))
+        r, c = r + j, c + j
+    if r == r0:
         return None
-    return _unit_lower_inverse(panel[:r, cols].tolist(), p)
+    return _unit_lower_inverse(a[r0:r, pivs[base:]].tolist(), p)
 
 
 def _join(a, kern, r0, cols, h, lo, hi):
@@ -554,7 +542,7 @@ def _join(a, kern, r0, cols, h, lo, hi):
     inv = np.zeros((k, k), dtype=np.uint64)
     inv[:h, :h] = lo
     inv[h:, h:] = hi
-    inv[h:, :h] = _condsub(np.uint64(kern.p) - off, kern.p)
+    inv[h:, :h] = (kern.p - off) % kern.p  # -off mod p: off < p, so nothing wraps
     return inv
 
 

@@ -329,7 +329,7 @@ def _system_matrix(
     point, a leaf's top block holds derivatives of one point, whose
     structural zeros can make a leading minor vanish and force a row
     swap; derivative-major, it holds one or two derivatives at different
-    points, and the leaf's no-pivot probe rarely meets a zero pivot.
+    points, and a leaf rarely needs more than one sweep.
 
     The matrix belongs to one trial, so its rank() eliminates it in place
     and spends it (see PrimeFieldMatrix._consumable)."""

@@ -541,25 +541,25 @@ def _classical_leaf(a, p, r0, c0, c1):
 
 
 def _leaf_paths(monkeypatch):
-    """Record (r0, c0, c1, product) of every _ple_leaf call: product is True
-    when the leaf's probe factored its top block without a zero pivot, so
-    the leaf took the product path, and False when it fell back to the
-    classical loop, or had fewer rows than columns and did not probe."""
-    calls, probes = [], []
-    leaf, lu = gfprime._ple_leaf, gfprime._lu_no_pivot
+    """Record (r0, c0, c1, sweeps) of every _ple_leaf call: sweeps lists the
+    (pivots, row swaps) of each of the leaf's sweeps (_lu_top) in order.  A
+    leaf that makes one sweep with a pivot in every column gives the rows
+    below their multipliers in its one product, A_below U^-1."""
+    calls, sweeps = [], []
+    leaf, top = gfprime._ple_leaf, gfprime._lu_top
 
-    def probed(b, p):
-        out = lu(b, p)
-        probes.append(out is not None)
+    def swept(b, p):
+        out = top(b, p)
+        sweeps.append((out[0], out[1]))
         return out
 
     def recorded(a, kern, r0, c0, c1, pivs):
-        probes.clear()
+        sweeps.clear()
         block = leaf(a, kern, r0, c0, c1, pivs)
-        calls.append((r0, c0, c1, probes == [True]))
+        calls.append((r0, c0, c1, list(sweeps)))
         return block
 
-    monkeypatch.setattr(gfprime, "_lu_no_pivot", probed)
+    monkeypatch.setattr(gfprime, "_lu_top", swept)
     monkeypatch.setattr(gfprime, "_ple_leaf", recorded)
     return calls
 
@@ -621,16 +621,16 @@ def test_ple_leaf_matches_classical_elimination(p, seed, fill, rows):
 @example(seed=2, fill="random", w=1, below=5)
 def test_ple_leaf_without_row_swaps_takes_the_product_path(p, seed, fill, w, below):
     """A panel whose top w x w block has nonzero leading minors, with any
-    rows below it: the probe succeeds, and the packed LU on top, the
-    multipliers below from one product and the block are the classical
-    loop's."""
+    rows below it: the leaf makes one sweep with no row swap, and the
+    packed LU on top, the multipliers below from one product and the block
+    are those of _classical_leaf."""
     rng = np.random.default_rng(seed)
     a = _residues_mod(p, rng, (1 + w + below, w + 2), fill)
     a[1 : 1 + w, 1 : 1 + w] = _unit_lower_upper(rng, p, w, fill)
     with pytest.MonkeyPatch.context() as mp:
         calls = _leaf_paths(mp)
         _assert_leaf_is_classical(a, p, 1, 1, 1 + w)
-    assert calls == [(1, 1, 1 + w, True)]
+    assert calls == [(1, 1, 1 + w, [(w, [])])]
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
@@ -638,17 +638,23 @@ def test_ple_leaf_without_row_swaps_takes_the_product_path(p, seed, fill, w, bel
 @pytest.mark.parametrize("fill", EDGE_FILLS)
 def test_ple_leaf_falls_back_after_a_partial_probe(p, zero_at, fill, monkeypatch):
     """A zero leading minor of the top block at the leaf's first, middle or
-    last column: the probe stops there, after factoring the columns before
-    it, and the classical loop, run on the untouched panel, swaps a row
-    from below into the pivot row."""
+    last column: the first sweep ends there with no row swap, after the
+    columns before it, and the next sweep swaps a row up from below the top
+    rows into the pivot row.  Column 0, outside the leaf, numbers the rows,
+    so after the leaf it reads where each row came from."""
     w = gfprime._LEAF_W
     rng = np.random.default_rng(p % 983 + zero_at)
     a = _residues_mod(p, rng, (1 + w + 12, w + 2), fill)
     a[1 : 1 + w, 1 : 1 + w] = _unit_lower_upper(rng, p, w, fill, zero_at)
     a[1 + w, 1 + zero_at] = 1  # a row below that can take the pivot
+    a[:, 0] = np.arange(len(a))
     calls = _leaf_paths(monkeypatch)
     _assert_leaf_is_classical(a, p, 1, 1, 1 + w)
-    assert calls == [(1, 1, 1 + w, False)]
+    [(r0, c0, c1, sweeps)] = calls
+    assert (r0, c0, c1) == (1, 1, 1 + w)
+    if zero_at:
+        assert sweeps[0] == (zero_at, [])
+    assert a[1 + zero_at, 0] > w
 
 
 def _swapped_once(p, n, swap_at):
@@ -672,18 +678,25 @@ def _swapped_once(p, n, swap_at):
 @pytest.mark.parametrize("swap_at", [None, 0, 150, 297])
 def test_every_leaf_without_a_row_swap_takes_the_product_path(swap_at, monkeypatch):
     """A 300 x 300 matrix of full rank at the one-limb prime 4194301: every
-    leaf takes the product path, except the one leaf whose columns hold a
-    planted row swap."""
+    leaf makes one sweep, and only the leaf whose columns hold the planted
+    row swap swaps, inside its top rows: in its sweep, or before it when
+    the swap is at the leaf's first column.  A 301st column numbers the
+    rows; no pivot reaches it, and at the end it reads the one swap."""
     p = 4194301
-    a = _swapped_once(p, 300, swap_at)
+    a = np.hstack([_swapped_once(p, 300, swap_at), np.arange(300, dtype=np.uint64)[:, None]])
     calls = _leaf_paths(monkeypatch)
     assert _rank_with_pivots(a, p) == (300, list(range(300)))
     assert all(300 - r0 >= c1 - c0 for r0, c0, c1, _ in calls)
-    fallbacks = [(c0, c1) for _, c0, c1, product in calls if not product]
-    if swap_at is None:
-        assert fallbacks == []
+    assert all(len(sweeps) == 1 and sweeps[0][0] == c1 - c0 for _, c0, c1, sweeps in calls)
+    swaps = [(c0 + s, c0 + i) for _, c0, _, [(_, pairs)] in calls for s, i in pairs]
+    order = list(range(300))
+    if swap_at is not None:
+        order[swap_at : swap_at + 2] = [swap_at + 1, swap_at]
+    assert a[:, 300].tolist() == order
+    if swap_at is None or swap_at in {c0 for _, c0, _, _ in calls}:
+        assert swaps == []
     else:
-        assert len(fallbacks) == 1 and fallbacks[0][0] <= swap_at < fallbacks[0][1]
+        assert swaps == [(swap_at, swap_at + 1)]
     assert sum(c1 - c0 for _, c0, c1, _ in calls) == 300
 
 
@@ -1068,6 +1081,91 @@ def test_carried_inverses_keep_the_oracle_trace(p, case, monkeypatch):
     else:
         nested = [b for b in solves if isinstance(b, tuple) and isinstance(b[1], tuple)]
         assert nested
+
+
+# ---------------------------------------------------------------------------
+# Leaves of several sweeps: pivots below a leaf's top rows.
+
+def _swept_panel(rng, p, m, n, kind):
+    """An m x n matrix mod p whose leaves need rows from below their top
+    rows: an upper-triangular matrix with a nonzero diagonal and its rows
+    shuffled, a random one with about half its columns zero, or one whose
+    rows repeat a few random rows."""
+    a = rng.integers(0, p, size=(m, n), dtype=np.uint64)
+    if kind == "shuffled":
+        a = np.triu(a)
+        k = min(m, n)
+        a[np.arange(k), np.arange(k)] = rng.integers(1, p, size=k, dtype=np.uint64)
+        return a[rng.permutation(m)]
+    if kind == "zero-columns":
+        a[:, rng.random(n) < 0.5] = 0
+        return a
+    return a[rng.integers(0, max(1, m // 4), size=m)]
+
+
+def _checked_leaves(monkeypatch):
+    """Check every _ple_leaf call against _classical_leaf run on the matrix
+    as the leaf finds it: every entry of a, the pivot columns and the
+    block."""
+    leaf = gfprime._ple_leaf
+
+    def checked(a, kern, r0, c0, c1, pivs):
+        want, want_pivots = _classical_leaf(a, kern.p, r0, c0, c1)
+        base = len(pivs)
+        block = leaf(a, kern, r0, c0, c1, pivs)
+        assert pivs[base:] == want_pivots
+        assert (a.astype(object) == want).all()
+        _assert_block(a, kern.p, r0, want_pivots, block)
+        return block
+
+    monkeypatch.setattr(gfprime, "_ple_leaf", checked)
+
+
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+@pytest.mark.parametrize("shrunk", [False, True], ids=["leaf8", "leaf2"])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("shuffled", "zero-columns", "duplicated")),
+    m=st.integers(1, 40),
+    n=st.integers(1, 40),
+)
+@settings(max_examples=10, deadline=None)
+@example(seed=0, kind="shuffled", m=40, n=40)
+@example(seed=1, kind="zero-columns", m=24, n=40)
+@example(seed=2, kind="duplicated", m=40, n=17)
+def test_leaves_of_several_sweeps_match_classical_elimination(p, shrunk, seed, kind, m, n):
+    """Panels whose pivots lie below their leaves' top rows, at one, two and
+    three limbs, with leaves of 8 columns or of 2 (and every other size
+    shrunk too): every leaf leaves the entries of classical elimination,
+    every block that _ple returns inverts its multipliers, and the rank
+    and pivots are the oracle's."""
+    a = _swept_panel(np.random.default_rng(seed), p, m, n, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        if shrunk:
+            _shrunk(mp)
+        _checked_leaves(mp)
+        calls = _ple_blocks(mp)
+        pivots = _assert_blocks(a.copy(), p, calls)
+    assert pivots == _gauss_jordan(a.astype(object), p)
+
+
+@pytest.mark.parametrize("p", INVERSE_PRIMES)
+def test_elimination_calls_no_mulmod_vec(p, monkeypatch):
+    """The elimination makes every product in the kernel, even when its
+    leaves swap rows in and out of their top rows and fall short of full
+    rank: the elementwise mulmod_vec is left to the condition-matrix
+    build, which calls it as interp.mulmod_vec."""
+
+    def refused(*args):
+        raise AssertionError("the elimination called mulmod_vec")
+
+    monkeypatch.setattr(gfprime, "mulmod_vec", refused)
+    rng = np.random.default_rng(p % 991)
+    a = _swept_panel(rng, p, 120, 100, "shuffled")
+    a[::3] = a[1::3][: len(a[::3])]  # every third row repeats the next one
+    rank, pivots = _rank_with_pivots(a.copy(), p)
+    assert pivots == _gauss_jordan(a.astype(object), p)
+    assert 60 < rank < 100
 
 
 # ---------------------------------------------------------------------------

@@ -712,36 +712,37 @@ def test_criterion_8_matrix_pivots_are_its_first_4200_columns(criterion_8_run):
 
 
 def test_criterion_8_leaves_all_take_the_product_path(criterion_8_run):
-    """All 525 leaves of the criterion-8 elimination factor their top block
-    with no zero pivot and give the rows below their multipliers in one
-    product.  The derivative-major rows put the value rows of all 120
-    points first, then the first derivatives of all of them, and so on, so
-    a leaf's top block holds rows of one or two derivatives at different
-    points, and every leading minor it meets is nonzero.  With each
-    point's rows stacked together, 23 of 616 leaves met a zero pivot and
-    fell back to row swaps.  Panels split at multiples of the leaf width,
-    so the 4200 pivot columns make 4200 / 8 = 525 full leaves."""
-    assert len(criterion_8_run.probes) == 525
-    assert sum(criterion_8_run.probes) == 525
+    """All 525 leaves of the criterion-8 elimination make one sweep each,
+    which finds a pivot in every one of its 8 columns with no row swap, so
+    the rows below get their multipliers in one product.  The
+    derivative-major rows put the value rows of all 120 points first, then
+    the first derivatives of all of them, and so on, so a leaf's top block
+    holds rows of one or two derivatives at different points, and every
+    leading minor it meets is nonzero.  With each point's rows stacked
+    together, 23 of 616 leaves met a zero pivot and needed a row swap.
+    Panels split at multiples of the leaf width, so the 4200 pivot columns
+    make 4200 / 8 = 525 full leaves."""
+    assert criterion_8_run.sweeps == [(8, 8, [])] * 525
 
 
 @pytest.mark.parametrize("p", [1048573, 4194301])
 def test_prime_regimes_leaves_all_take_the_product_path(p, monkeypatch):
     """L3(10,5^8), the 280 x 286 system of the prime-regimes workload,
     ranked in one trial at the primes its ranks run at (4194301 certifies
-    the larger ones): every leaf probe finds no zero pivot.  The 280 pivot
-    columns make 280 / 8 = 35 full leaves."""
-    probes, lu = [], gfprime._lu_no_pivot
+    the larger ones): every leaf makes one sweep, with a pivot in each of
+    its 8 columns and no row swap.  The 280 pivot columns make 280 / 8 = 35
+    full leaves."""
+    sweeps, top = [], gfprime._lu_top
 
-    def probed(b, q):
-        out = lu(b, q)
-        probes.append(out is not None)
+    def swept(b, q):
+        out = top(b, q)
+        sweeps.append((out[0], len(b[0]), out[1]))
         return out
 
-    monkeypatch.setattr(gfprime, "_lu_no_pivot", probed)
+    monkeypatch.setattr(gfprime, "_lu_top", swept)
     rep = effective_dim(parse_system("L3(10,5^8)"), trials=1, seed=301, prime=p)
     assert rep.rank == 280 and rep.certified_by is None
-    assert len(probes) == 35 and all(probes)
+    assert sweeps == [(8, 8, [])] * 35
 
 
 def test_trials_and_prime_are_integers_not_truncated():
